@@ -30,6 +30,12 @@
  * entry and written back on *every* exit -- including exceptions -- so the
  * caller's steps_out accounting survives a handler raise mid-run.
  *
+ * Channel slots: core.chanq[cid] is None (empty), the wire tuple itself
+ * (one message in flight; the slot owns that reference) or a deque (two or
+ * more queued).  emit() spills a tuple slot to a deque on the second
+ * message; chan_pop() collapses a deque back to its last message and a
+ * tuple slot back to None, exactly like the Python loop.
+ *
  * Parity rules encoded here:
  *  - Only prechecked steps are executed; every ProtocolError path in the
  *    Python handlers is unreachable because can_handle() routes it to
@@ -121,7 +127,7 @@ typedef struct {
     PyObject *local, *done, *more, *unaware, *unexp, *mheap, *uheap;
     PyObject *previous, *inbox, *deferred;
     PyObject *rrank, *by_rrank, *nrank;
-    PyObject *chanq, *chana, *chanp, *chan_src, *chan_dst, *out, *iobj;
+    PyObject *chanq, *chan_src, *chan_dst, *out, *iobj;
     PyObject *counts_l, *xtra_l, *order;
     long counts[N_TAGS], xtra[N_TAGS];
     /* run parameters */
@@ -278,22 +284,11 @@ emit(S *s, long src, long dst, int tag, PyObject *msg)
     if (cid_obj == NULL) {
         if (PyErr_Occurred())
             return -1;
+        /* a new channel's slot starts out holding msg inline */
         cid = (long)PyList_GET_SIZE(s->chanq);
-        PyObject *q = PyObject_CallNoArgs(g_deque_type);
-        if (q == NULL)
-            return -1;
-        PyObject *ap = PyObject_GetAttr(q, s_append);
-        PyObject *pp = ap ? PyObject_GetAttr(q, s_popleft) : NULL;
-        int fail = (ap == NULL || pp == NULL ||
-                    PyList_Append(s->chanq, q) < 0 ||
-                    PyList_Append(s->chana, ap) < 0 ||
-                    PyList_Append(s->chanp, pp) < 0 ||
-                    PyList_Append(s->chan_src, IOBJ(s, src)) < 0 ||
-                    PyList_Append(s->chan_dst, key) < 0);
-        Py_DECREF(q);
-        Py_XDECREF(ap);
-        Py_XDECREF(pp);
-        if (fail)
+        if (PyList_Append(s->chanq, msg) < 0 ||
+            PyList_Append(s->chan_src, IOBJ(s, src)) < 0 ||
+            PyList_Append(s->chan_dst, key) < 0)
             return -1;
         PyObject *cid_new = PyLong_FromLong(cid);
         if (cid_new == NULL)
@@ -305,19 +300,39 @@ emit(S *s, long src, long dst, int tag, PyObject *msg)
     }
     else {
         cid = PyLong_AsLong(cid_obj);
+        PyObject *slot = PyList_GET_ITEM(s->chanq, cid);
+        if (slot == Py_None) {
+            Py_INCREF(msg);
+            if (PyList_SetItem(s->chanq, cid, msg) < 0)
+                return -1;
+        }
+        else if (PyTuple_CheckExact(slot)) {
+            /* second queued message: spill to a deque */
+            PyObject *pair = PyTuple_Pack(2, slot, msg);
+            if (pair == NULL)
+                return -1;
+            PyObject *q = PyObject_CallOneArg(g_deque_type, pair);
+            Py_DECREF(pair);
+            if (q == NULL)
+                return -1;
+            if (PyList_SetItem(s->chanq, cid, q) < 0) /* steals q */
+                return -1;
+        }
+        else {
+            PyObject *r = PyObject_CallMethodOneArg(slot, s_append, msg);
+            if (r == NULL)
+                return -1;
+            Py_DECREF(r);
+        }
     }
     if (s->counts[tag]++ == 0) {
         if (PyList_Append(s->order, g_tag_objs[tag]) < 0)
             return -1;
     }
-    PyObject *r = PyObject_CallOneArg(PyList_GET_ITEM(s->chana, cid), msg);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
     PyObject *tok = PyLong_FromLong(cid);
     if (tok == NULL)
         return -1;
-    r = PyObject_CallOneArg(s->pool_append, tok);
+    PyObject *r = PyObject_CallOneArg(s->pool_append, tok);
     Py_DECREF(tok);
     if (r == NULL)
         return -1;
@@ -330,6 +345,49 @@ emitx(S *s, long src, long dst, int tag, PyObject *msg, long extra_ids)
 {
     s->xtra[tag] += extra_ids;
     return emit(s, src, dst, tag, msg);
+}
+
+/* Head message of a non-empty channel: new ref, slot untouched. */
+static PyObject *
+chan_peek(S *s, long cid)
+{
+    PyObject *slot = PyList_GET_ITEM(s->chanq, cid);
+    if (PyTuple_CheckExact(slot)) {
+        Py_INCREF(slot);
+        return slot;
+    }
+    return PySequence_GetItem(slot, 0);
+}
+
+/* Pop the head message of a non-empty channel: new ref.  A deque left
+ * holding one message collapses back to it; a tuple slot empties. */
+static PyObject *
+chan_pop(S *s, long cid)
+{
+    PyObject *slot = PyList_GET_ITEM(s->chanq, cid);
+    if (PyTuple_CheckExact(slot)) {
+        /* the slot's reference passes to the caller */
+        Py_INCREF(Py_None);
+        PyList_SET_ITEM(s->chanq, cid, Py_None);
+        return slot;
+    }
+    PyObject *msg = PyObject_CallMethodNoArgs(slot, s_popleft);
+    if (msg == NULL)
+        return NULL;
+    Py_ssize_t left = PyObject_Size(slot);
+    if (left < 0) {
+        Py_DECREF(msg);
+        return NULL;
+    }
+    if (left == 1) {
+        PyObject *last = PySequence_GetItem(slot, 0);
+        /* PyList_SetItem steals `last` and frees the deque */
+        if (last == NULL || PyList_SetItem(s->chanq, cid, last) < 0) {
+            Py_DECREF(msg);
+            return NULL;
+        }
+    }
+    return msg;
 }
 
 /* ------------------------------------------------------------------ */
@@ -942,17 +1000,20 @@ exec_release(S *s, long i, long sender, PyObject *msg)
     }
     if (emit(s, i, came_from, T_RELEASE, msg) < 0)
         return -1;
-    if (PyObject_Size(prev) > 0) {
-        PyObject *head = PySequence_GetItem(prev, 0);
-        if (head == NULL)
-            return -1;
-        int r = emit(s, i, GETL(s->nxt, i), T_SEARCH,
-                     PyTuple_GET_ITEM(head, 0));
-        Py_DECREF(head);
-        if (r < 0)
-            return -1;
+    Py_ssize_t left = PyObject_Size(prev);
+    if (left < 0)
+        return -1;
+    if (left == 0) {
+        /* drained: back to the lazy empty slot (frees the deque) */
+        Py_INCREF(Py_None);
+        return PyList_SetItem(s->previous, i, Py_None) < 0 ? -1 : 1;
     }
-    return 1;
+    PyObject *head = PySequence_GetItem(prev, 0);
+    if (head == NULL)
+        return -1;
+    int r = emit(s, i, GETL(s->nxt, i), T_SEARCH, PyTuple_GET_ITEM(head, 0));
+    Py_DECREF(head);
+    return r < 0 ? -1 : 1;
 }
 
 static int
@@ -1360,8 +1421,11 @@ c_pump(S *s, long i)
         Py_ssize_t ilen = PyObject_Size(ib);
         if (ilen < 0)
             return -1;
-        if (ilen == 0)
-            return 0;
+        if (ilen == 0) {
+            /* drained: back to the lazy empty slot (frees the deque) */
+            Py_INCREF(Py_None);
+            return PyList_SetItem(s->inbox, i, Py_None);
+        }
         PyObject *item = PySequence_GetItem(ib, 0); /* (sender, msg) */
         if (item == NULL)
             return -1;
@@ -1473,8 +1537,6 @@ free_s(S *s)
     Py_XDECREF(s->by_rrank);
     Py_XDECREF(s->nrank);
     Py_XDECREF(s->chanq);
-    Py_XDECREF(s->chana);
-    Py_XDECREF(s->chanp);
     Py_XDECREF(s->chan_src);
     Py_XDECREF(s->chan_dst);
     Py_XDECREF(s->out);
@@ -1540,8 +1602,6 @@ fill_s(S *s, PyObject *core)
     FETCH_LIST(by_rrank, "by_rrank");
     FETCH_LIST(nrank, "nrank");
     FETCH_LIST(chanq, "chanq");
-    FETCH_LIST(chana, "chana");
-    FETCH_LIST(chanp, "chanp");
     FETCH_LIST(chan_src, "chan_src");
     FETCH_LIST(chan_dst, "chan_dst");
     FETCH_LIST(out, "out");
@@ -1719,8 +1779,7 @@ loop_run(PyObject *self, PyObject *args)
         }
         else {
             /* deliver token: peek, wake, precheck, then commit */
-            PyObject *chq = PyList_GET_ITEM(s.chanq, token);
-            PyObject *msg = PySequence_GetItem(chq, 0);
+            PyObject *msg = chan_peek(&s, token);
             if (msg == NULL)
                 goto error;
             long dst = GETL(s.chan_dst, token);
@@ -1746,8 +1805,7 @@ loop_run(PyObject *self, PyObject *args)
                 busy = isz > 0;
             }
             if (busy) {
-                PyObject *popped =
-                    PyObject_CallNoArgs(PyList_GET_ITEM(s.chanp, token));
+                PyObject *popped = chan_pop(&s, token);
                 if (popped == NULL) {
                     Py_DECREF(msg);
                     goto error;
@@ -1794,8 +1852,7 @@ loop_run(PyObject *self, PyObject *args)
                     aux = token;
                     goto done;
                 }
-                PyObject *popped =
-                    PyObject_CallNoArgs(PyList_GET_ITEM(s.chanp, token));
+                PyObject *popped = chan_pop(&s, token);
                 if (popped == NULL) {
                     Py_DECREF(msg);
                     goto error;

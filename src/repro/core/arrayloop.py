@@ -90,21 +90,31 @@ def _constants_match() -> bool:
     return tuple(VARIANTS) == ("generic", "bounded", "adhoc")
 
 
-def _build() -> Optional[Path]:
-    """Compile ``_arrayloop.c`` into the cache; return the .so path."""
-    try:
-        source = _SOURCE.read_bytes()
-    except OSError:
-        return None
-    tag = hashlib.sha256(source).hexdigest()[:16]
+def _so_path() -> Path:
+    """The cached build of the current ``_arrayloop.c`` for this
+    interpreter: ``_arrayloop_<sha16>_cp<XY>.so`` in the cache directory.
+
+    The sanitizer CI lane compiles its instrumented build to this exact
+    path so that :func:`load` picks it up instead of compiling.
+    """
+    tag = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
     cache = Path(
         os.environ.get("REPRO_ARRAYLOOP_CACHE")
         or Path.home() / ".cache" / "repro-arrayloop"
     )
-    name = f"_arrayloop_{tag}_cp{sys.version_info[0]}{sys.version_info[1]}"
-    so_path = cache / (name + ".so")
+    return cache / f"_arrayloop_{tag}_cp{sys.version_info[0]}{sys.version_info[1]}.so"
+
+
+def _build() -> Optional[Path]:
+    """Compile ``_arrayloop.c`` into the cache; return the .so path."""
+    try:
+        so_path = _so_path()
+    except OSError:
+        return None
     if so_path.exists():
         return so_path
+    cache = so_path.parent
+    name = so_path.stem
     cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(cc) is None:
         cc = "cc"

@@ -411,6 +411,23 @@ def _to_message(msg: tuple, ids):
 
 
 # ----------------------------------------------------------------------
+# Channel slots
+# ----------------------------------------------------------------------
+def _slot_messages(slot):
+    """The messages a channel slot holds, oldest first."""
+    if slot is None:
+        return ()
+    if type(slot) is deque:
+        return slot
+    return (slot,)
+
+
+def _in_flight(chanq) -> int:
+    """Messages queued across all channel slots."""
+    return sum(len(_slot_messages(slot)) for slot in chanq)
+
+
+# ----------------------------------------------------------------------
 # The columnar core
 # ----------------------------------------------------------------------
 class ArrayCore:
@@ -462,8 +479,6 @@ class ArrayCore:
         "greedy",
         # -- interned channels -----------------------------------------
         "chanq",
-        "chana",
-        "chanp",
         "chan_src",
         "chan_dst",
         "out",
@@ -529,12 +544,10 @@ class ArrayCore:
         self.variant = bytearray(n)
         self.csize = [None] * n
         self.greedy = bytearray(n)
+        #: one slot per interned channel (DESIGN.md SS15): ``None`` when
+        #: empty, the wire tuple itself when one message is in flight, a
+        #: deque only while two or more are queued.
         self.chanq = []
-        # Parallel caches of each deque's bound ``append``/``popleft``:
-        # the loop and the transport hit one channel per step, and the
-        # attribute lookup per hit is pure overhead.
-        self.chana = []
-        self.chanp = []
         self.chan_src = []
         self.chan_dst = []
         self.out = [None] * n
@@ -599,12 +612,10 @@ class ArrayCore:
         csize = self.csize
         greedy = self.greedy
         chanq = self.chanq
-        chana = self.chana
-        chanp = self.chanp
         chan_src = self.chan_src
         chan_dst = self.chan_dst
         out = self.out
-        new_deque = deque
+        deque_type = deque
         counts = self.counts
         bits = self.bits
         xtra = self.xtra
@@ -649,22 +660,26 @@ class ArrayCore:
                 d = out[src] = {}
             cid = d.get(dst)
             if cid is None:
-                # Mid-run channels are created as bare deques and synced
+                # Mid-run channels exist only as slots here and are synced
                 # onto ``sim._channels`` at materialization -- nothing can
                 # observe the dict mid-run on this path.
                 cid = len(chanq)
-                q = new_deque()
-                chanq.append(q)
-                chana.append(q.append)
-                chanp.append(q.popleft)
+                chanq.append(msg)
                 chan_src.append(src)
                 chan_dst.append(dst)
                 d[dst] = cid
+            else:
+                q = chanq[cid]
+                if q is None:
+                    chanq[cid] = msg
+                elif type(q) is deque_type:
+                    q.append(msg)
+                else:  # second queued message: spill to a deque
+                    chanq[cid] = deque_type((q, msg))
             c = counts[tag]
             if not c:
                 order.append(tag)
             counts[tag] = c + 1
-            chana[cid](msg)
             pool_append(cid)
 
         def emitx(src, dst, tag, msg, extra_ids):
@@ -917,6 +932,8 @@ class ArrayCore:
             emit(i, came_from, T_RELEASE, msg)
             if prev:
                 emit(i, nxt[i], T_SEARCH, prev[0][0])
+            else:
+                previous[i] = None
             return True
 
         def h_merge_accept(i, sender, msg):
@@ -1086,6 +1103,8 @@ class ArrayCore:
             emitx(i, came_from, T_PROBE_REPLY, msg, len(msg[2]))
             if pq:
                 emit(i, nxt[i], T_PROBE, pq[0][0])
+            else:
+                probe_prev[i] = None
             return True
 
         dispatch = [
@@ -1121,6 +1140,7 @@ class ArrayCore:
                 if df and (status[i], aw_rel[i], aw_query[i], aw_info[i]) != before:
                     ib.extendleft(reversed(df))
                     df.clear()
+            inbox[i] = None  # drained: back to the lazy empty slot
 
         # -- the loop ----------------------------------------------------
         start_steps = self.steps
@@ -1217,7 +1237,14 @@ class ArrayCore:
 
                 steps += 1
                 if token >= 0:
-                    msg = chanp[token]()
+                    q = chanq[token]
+                    if type(q) is deque_type:
+                        msg = q.popleft()
+                        if len(q) == 1:  # back to an inline single message
+                            chanq[token] = q[0]
+                    else:
+                        msg = q
+                        chanq[token] = None
                     dst = chan_dst[token]
                     if not awake[dst]:
                         # Messages wake sleeping nodes (Section 1.2).
@@ -1253,7 +1280,7 @@ class ArrayCore:
                     if deferred[dst] or inbox[dst]:
                         ib = inbox[dst]
                         if ib is None:
-                            ib = inbox[dst] = deque()
+                            ib = inbox[dst] = deque_type()
                         ib.append((src, msg))
                         pump(dst)
                     elif tag == t_search:
@@ -1265,7 +1292,7 @@ class ArrayCore:
                                 msg = (t_search, msg[1], msg[2], msg[3], True)
                             prev = previous[dst]
                             if prev is None:
-                                prev = previous[dst] = deque()
+                                prev = previous[dst] = deque_type()
                             prev.append((msg, src))
                             if len(prev) == 1:
                                 emit(dst, nxt[dst], t_search, msg)
@@ -1293,6 +1320,8 @@ class ArrayCore:
                             emit(dst, came_from, t_release, msg)
                             if prev:
                                 emit(dst, nxt[dst], t_search, prev[0][0])
+                            else:
+                                previous[dst] = None
                     elif tag == t_conquer:
                         if status[dst] != s_inactive:
                             h_conquer(dst, src, msg)
@@ -1405,9 +1434,10 @@ def _build_from_sim(sim, pool):
 
     Pure read phase: raises :class:`_Ineligible` without having mutated
     the simulator, its nodes, channels or pool in any way.  Returns
-    ``(core, new_pool, chan_pending)`` where ``new_pool`` is the int token
-    list (in pool order) and ``chan_pending`` the per-channel wire
-    contents to swap in at commit time.
+    ``(core, new_pool, loaded)`` where ``new_pool`` is the int token list
+    (in pool order) and ``loaded`` the simulator deques whose messages now
+    sit in channel slots as wire tuples; the caller empties them at
+    commit time.
     """
     nodes_map = sim.nodes
     n = len(nodes_map)
@@ -1508,14 +1538,12 @@ def _build_from_sim(sim, pool):
             core.csize[i] = node.component_size
             core.greedy[i] = 1 if node.greedy_queries else 0
 
-        # -- channels: intern every existing pair, reusing its deque -----
+        # -- channels: intern every existing pair into a slot ------------
         chanq = core.chanq
-        chana = core.chana
-        chanp = core.chanp
         chan_src = core.chan_src
         chan_dst = core.chan_dst
         out = core.out
-        chan_pending = []
+        loaded = []
         for (src, dst), queue in sim._channels.items():
             si = idx[src]
             di = idx[dst]
@@ -1523,13 +1551,16 @@ def _build_from_sim(sim, pool):
             if d is None:
                 d = out[si] = {}
             d[di] = len(chanq)
-            chanq.append(queue)
-            chana.append(queue.append)
-            chanp.append(queue.popleft)
             chan_src.append(si)
             chan_dst.append(di)
-            if queue:
-                chan_pending.append((queue, [_to_wire(m, idx) for m in queue]))
+            if not queue:
+                chanq.append(None)
+                continue
+            loaded.append(queue)
+            if len(queue) == 1:
+                chanq.append(_to_wire(queue[0], idx))
+            else:
+                chanq.append(deque([_to_wire(m, idx) for m in queue]))
 
         # -- pool: wake and deliver tokens only --------------------------
         new_pool = []
@@ -1548,7 +1579,7 @@ def _build_from_sim(sim, pool):
         raise _Ineligible(f"uninternable state: {exc}")
 
     core.base_channels = len(chanq)
-    return core, new_pool, chan_pending
+    return core, new_pool, loaded
 
 
 def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
@@ -1636,28 +1667,31 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
                 for leader, id_set in pr
             )
 
-    # Channels created mid-run exist only in the core's arena; register
-    # them on the simulator in creation order (matching the insertion
-    # order the per-send path would have produced).
+    # Base channels: in-flight messages go back into the simulator's own
+    # deques (emptied at commit; their identity is shared with the
+    # fastcore interning registry).  Until the mid-run channels are added
+    # below, ``sim._channels`` holds exactly the base channels, in
+    # interning order.
     chanq = core.chanq
-    if len(chanq) > core.base_channels:
-        channels = sim._channels
-        src_col = core.chan_src
-        dst_col = core.chan_dst
-        for cid in range(core.base_channels, len(chanq)):
-            channels[(ids[src_col[cid]], ids[dst_col[cid]])] = chanq[cid]
+    channels = sim._channels
+    for queue, slot in zip(channels.values(), chanq):
+        if slot is not None:
+            queue.extend(map(to_message, _slot_messages(slot)))
 
-    # Channels: wire tuples -> message objects, in place (deque identity
-    # is shared with sim._channels and the PR6 interning registry).
-    for queue in chanq:
-        if queue:
-            materialized = [to_message(m) for m in queue]
-            queue.clear()
-            queue.extend(materialized)
-
-    # Pool: ints -> tokens, preserving order.
+    # Channels created mid-run exist only as slots; register them on the
+    # simulator in creation order (matching the insertion order the
+    # per-send path would have produced).
     chan_src = core.chan_src
     chan_dst = core.chan_dst
+    base = core.base_channels
+    for src, dst, slot in zip(chan_src[base:], chan_dst[base:], chanq[base:]):
+        channels[(ids[src], ids[dst])] = (
+            new_deque()
+            if slot is None
+            else new_deque(map(to_message, _slot_messages(slot)))
+        )
+
+    # Pool: ints -> tokens, preserving order.
     if pool:
         items = [
             WakeToken(ids[-1 - token])
@@ -1691,14 +1725,13 @@ def maybe_run_array(sim, max_steps, pool, mode, randbelow) -> Optional[int]:
         # effect; the inlined state machine cannot honour it.
         return None
     try:
-        core, new_pool, chan_pending = _build_from_sim(sim, pool)
+        core, new_pool, loaded = _build_from_sim(sim, pool)
     except _Ineligible:
         return None
 
     # -- commit point: from here on every exit materializes --------------
-    for queue, wires in chan_pending:
+    for queue in loaded:
         queue.clear()
-        queue.extend(wires)
     if mode == _FIFO:
         pool.clear()
         pool.extend(new_pool)
@@ -1714,11 +1747,11 @@ def maybe_run_array(sim, max_steps, pool, mode, randbelow) -> Optional[int]:
         return sim.is_quiescent
 
     def limit_msg():
-        # Summed over the channel arena, not sim.in_flight(): channels
-        # created mid-run are registered on the simulator only at
-        # materialization, but their pending messages are in flight now
-        # (this is the count the legacy path would report).
-        in_flight = sum(len(q) for q in core.chanq)
+        # Counted over the channel slots, not sim.in_flight(): the
+        # simulator's deques are empty until materialization, but the
+        # slots' messages are in flight now (this is the count the legacy
+        # path would report).
+        in_flight = _in_flight(core.chanq)
         return (
             f"no quiescence within {max_steps} steps; "
             f"{in_flight} messages still in flight"
@@ -1877,8 +1910,12 @@ def run_graph(
 
     The million-node driver: builds the columnar state directly (a
     million ``DiscoveryNode`` objects cost ~4 GB before the first
-    message; the columns cost ~100 MB), schedules one wake per node in
-    graph order, and runs the same array engine the simulator path uses.
+    message), schedules one wake per node in graph order, and runs the
+    same array engine the simulator path uses.  Traced at loop end on
+    ``random_weakly_connected(50_000, 100_000, seed=1)`` (348,468
+    channels), the core holds 2.8 KB per node including 8 B per channel
+    slot; when every channel was a deque with two cached bound methods
+    it held 9.7 KB per node, ~930 B of it per channel.
     ``seed`` selects the seeded random scheduler with *identical*
     semantics to ``build_simulation(seed=...)`` -- the differential test
     pins equal step counts, stats and leaders at small n -- and ``None``
@@ -1913,7 +1950,6 @@ def run_graph(
     elif variant == "adhoc":
         core.variant = bytearray([_ADHOC]) * n
 
-    chanq = core.chanq
     wake_tokens = [-1 - i for i in range(n)]
     if seed is None:
         mode = _FIFO
@@ -1933,7 +1969,7 @@ def run_graph(
         return not pool
 
     def limit_msg():
-        in_flight = sum(len(q) for q in chanq)
+        in_flight = _in_flight(core.chanq)
         return (
             f"no quiescence within {limit} steps; "
             f"{in_flight} messages still in flight"

@@ -1,6 +1,6 @@
 """Tests for the array-backed protocol core (``repro.core.arraystate``).
 
-Four layers:
+Five layers:
 
 * unit tests of the interning/order primitives (:class:`IdSpace`,
   :func:`rank_sorted`, :func:`k_smallest`) against their object-path
@@ -14,14 +14,20 @@ Four layers:
   every variant under both FIFO and seeded-random scheduling;
 * the C loop: the compiled ``_arrayloop`` delivery loop and the pure-Python
   ``run_loop`` body produce identical results, including across a
-  ``StepLimitExceeded`` boundary (the ``cell`` step-count protocol).
+  ``StepLimitExceeded`` boundary (the ``cell`` step-count protocol);
+* channel slots: both tiers leave the same slot contents (``None``, an
+  inline wire tuple, or a deque only while two or more messages queue),
+  and materialization hands the simulator the legacy loop's channels.
 """
+
+from collections import deque
 
 import pytest
 
 from repro.analysis.experiments import build_family
 from repro.core import arrayloop
 from repro.core.arraystate import (
+    ArrayCore,
     IdSpace,
     _Ineligible,
     k_smallest,
@@ -232,6 +238,91 @@ class TestStepLimitAndResume:
         assert fast_path == "array"
         assert legacy_path == "legacy"
         assert fast_final == legacy_final
+
+    def test_materialized_channels_match_legacy_at_each_cut(self):
+        # Two seeded-random cuts through the array path, in lockstep with
+        # the legacy loop.  The first cut materializes slots into fresh
+        # deques; the second run builds slots back out of those deques and
+        # must hand the very same deque objects back, refilled.
+        graph = _graph(64)
+        probe, _ = build_simulation(graph, "generic", seed=0)
+        cut = probe.run(default_step_budget(graph)) // 8
+        array, _ = build_simulation(graph, "generic", seed=0)
+        legacy, _ = build_simulation(graph, "generic", seed=0, fast=False)
+        base = None
+        for _ in range(2):
+            for sim in (array, legacy):
+                with pytest.raises(StepLimitExceeded):
+                    sim.run(cut)
+            assert array._last_run_path == "array"
+            assert legacy._last_run_path == "legacy"
+            # Precondition: the spill path (two or more queued messages on
+            # one channel) is exercised at this cut.
+            assert any(len(q) >= 2 for q in array._channels.values())
+            assert list(array._channels.items()) == list(legacy._channels.items())
+            if base is not None:
+                assert all(array._channels[key] is q for key, q in base.items())
+            base = dict(array._channels)
+        assert len(base) > 0
+
+
+# ----------------------------------------------------------------------
+# Channel slots and released per-node deques
+# ----------------------------------------------------------------------
+class TestChannelSlots:
+    N_SLOTS = 2000
+
+    def _cores(self, monkeypatch, *, pure_python, max_steps=None):
+        cores = []
+        run_loop = ArrayCore.run_loop
+
+        def capture(core, *args):
+            cores.append(core)
+            return run_loop(core, *args)
+
+        monkeypatch.setattr(ArrayCore, "run_loop", capture)
+        if pure_python:
+            monkeypatch.setattr(arrayloop, "_module", None)
+        graph = _graph(self.N_SLOTS)
+        if max_steps is None:
+            run_graph(graph, "generic")
+        else:
+            with pytest.raises(StepLimitExceeded):
+                run_graph(graph, "generic", max_steps=max_steps)
+        monkeypatch.undo()
+        (core,) = cores
+        return core
+
+    @staticmethod
+    def _assert_slot_layout(core):
+        for slot in core.chanq:
+            assert slot is None or type(slot) is tuple or (
+                type(slot) is deque and len(slot) >= 2
+            )
+        for column in (core.inbox, core.previous):
+            assert not any(type(q) is deque and not q for q in column)
+
+    def test_completed_run_holds_no_channel_containers(self, monkeypatch):
+        compiled = self._cores(monkeypatch, pure_python=False)
+        python = self._cores(monkeypatch, pure_python=True)
+        for core in (compiled, python):
+            assert len(core.chanq) > self.N_SLOTS
+            assert all(slot is None for slot in core.chanq)
+            self._assert_slot_layout(core)
+        assert compiled.chanq == python.chanq
+
+    def test_tiers_agree_on_slots_mid_run(self, monkeypatch):
+        full = run_graph(_graph(self.N_SLOTS), "generic")
+        cut = full.steps // 3
+        compiled = self._cores(monkeypatch, pure_python=False, max_steps=cut)
+        python = self._cores(monkeypatch, pure_python=True, max_steps=cut)
+        # Precondition: some channel has spilled to a deque at the cut.
+        assert any(type(slot) is deque for slot in compiled.chanq)
+        for core in (compiled, python):
+            self._assert_slot_layout(core)
+        assert compiled.chanq == python.chanq
+        assert compiled.inbox == python.inbox
+        assert compiled.previous == python.previous
 
 
 # ----------------------------------------------------------------------

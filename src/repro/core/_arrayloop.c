@@ -1,54 +1,45 @@
 /* C delivery loop for the array-backed protocol core (repro.core.arraystate).
  *
- * Compiled on demand by repro/core/arrayloop.py (plain `cc -O2 -shared`);
- * the build is best-effort and every failure falls back to the pure-Python
- * loop, so this file must never be required for correctness.
+ * Compiled on demand by repro/core/arrayloop.py (plain `cc -O2 -shared`).
+ * When it cannot be built or loaded, simulator runs decline the array core
+ * and take the fastcore object loop, and run_graph() builds objects; the
+ * reference handlers in repro/core/node.py define what every step must do.
  *
- * Contract (see arraystate.ArrayCore.run_loop): run() executes steps of the
- * exact same state machine over the same columnar state, and hands any step
- * it cannot reproduce bit-for-bit back to Python *before* mutating it:
+ * Contract (see arraystate.ArrayCore.run_loop): run() executes every step
+ * it pops, over the columnar state, exactly as the reference handlers do:
  *
  *   run(core, pool, pool_append, mode, getrandbits, stop, cell) -> (code, aux)
  *
- *   code 0: pool drained (quiescence candidate; caller's `while pool`
- *           re-checks).
+ *   code 0: pool drained (quiescence candidate).
  *   code 1: step limit boundary: a counted step just finished with
- *           steps >= stop; Python evaluates `quiescent()` and raises
- *           StepLimitExceeded exactly like its own loop.
- *   code 2: step deopt; aux is the already-popped pool token (>= 0, a
- *           deliver).  The channel head was only *peeked* and the step was
- *           not counted; the only possible prior mutation is the
- *           wake-explore of the destination, which Python's own
- *           `if not awake[dst]` guard makes idempotent.  Python re-executes
- *           the full step body (and its error paths) on the object closures.
- *   code 3: pump resume; aux is the node whose inbox pump hit a message the
- *           C side cannot handle.  The step was counted and the message is
- *           still at the inbox head; Python's pump() continues from the
- *           current inbox/deferred state (pump is resumable by design).
+ *           steps >= stop; the caller evaluates its quiescence test and
+ *           raises StepLimitExceeded or calls run() again.
+ *   aux is always -1 (kept so the return shape stays a pair).
  *
  * cell is a one-element list holding the absolute step count; it is read at
  * entry and written back on *every* exit -- including exceptions -- so the
  * caller's steps_out accounting survives a handler raise mid-run.
  *
+ * Errors: a message the reference handlers reject raises the configured
+ * ProtocolError with the reference handler's message text, after the same
+ * partial mutations (the message is already popped and the step counted).
+ * A self-send raises the configured SimulationError with the simulator's
+ * text.
+ *
  * Channel slots: core.chanq[cid] is None (empty), the wire tuple itself
  * (one message in flight; the slot owns that reference) or a deque (two or
  * more queued).  emit() spills a tuple slot to a deque on the second
  * message; chan_pop() collapses a deque back to its last message and a
- * tuple slot back to None, exactly like the Python loop.
+ * tuple slot back to None.
  *
  * Parity rules encoded here:
- *  - Only prechecked steps are executed; every ProtocolError path in the
- *    Python handlers is unreachable because can_handle() routes it to
- *    Python first (code 2/3).  The one exception is the self-send guard in
- *    emit(), which raises the same SimulationError with the same message.
- *  - Pool, channel, counts and `order` mutations happen in the exact order
- *    the Python handlers produce them.
+ *  - Pool, channel, counts, `xtra` and `order` mutations happen in the exact
+ *    order the reference handlers produce the corresponding sends.
  *  - Heap *layout* may differ from heapq's (sift details), but pop order is
  *    value-determined (ranks are unique) and the heaps are rebuilt from the
  *    live sets at materialization, so layout is unobservable.
- *  - Random mode inlines the same getrandbits rejection loop the Python
- *    loop inlines; a popped token is never "un-popped" (the draw is spent),
- *    it is handed over via code 2.
+ *  - Random mode inlines the getrandbits rejection loop of
+ *    random.Random._randbelow, so it draws the identical index sequence.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -89,14 +80,21 @@
 /* run() result codes. */
 #define RC_DRAINED 0
 #define RC_LIMIT 1
-#define RC_DEOPT 2
-#define RC_PUMP 3
+
+/* STATUS_NAMES, for error messages. */
+static const char *const ST_NAMES[8] = {
+    "asleep", "explore", "wait", "conquered",
+    "conqueror", "passive", "inactive", "terminated",
+};
+/* LEADER_STATES membership by status code. */
+static const char IS_LEADER[8] = {0, 1, 1, 0, 1, 0, 0, 1};
 
 /* ------------------------------------------------------------------ */
 /* configure()-provided globals                                        */
 /* ------------------------------------------------------------------ */
 static PyObject *g_deque_type;    /* collections.deque */
 static PyObject *g_sim_error;     /* repro.sim.network.SimulationError */
+static PyObject *g_proto_error;   /* repro.core.node.ProtocolError */
 static PyObject *g_msg_types;     /* tuple of msg_type strings, tag order */
 static PyObject *g_wire_ma;       /* WIRE_MERGE_ACCEPT singleton */
 static PyObject *g_wire_mf;       /* WIRE_MERGE_FAIL singleton */
@@ -120,12 +118,13 @@ typedef struct {
     Py_ssize_t n;
     /* bytearray-backed columns (object ref + raw pointer) */
     PyObject *status_o, *awake_o, *aw_rel_o, *aw_info_o, *stale_o,
-        *variant_o, *greedy_o;
-    char *status, *awake, *aw_rel, *aw_info, *stale, *variant, *greedy;
+        *variant_o, *greedy_o, *probe_out_o;
+    char *status, *awake, *aw_rel, *aw_info, *stale, *variant, *greedy,
+        *probe_out;
     /* list-backed columns */
     PyObject *ids, *nxt, *phase, *aw_query, *csize;
     PyObject *local, *done, *more, *unaware, *unexp, *mheap, *uheap;
-    PyObject *previous, *inbox, *deferred;
+    PyObject *previous, *inbox, *deferred, *probe_prev, *presults;
     PyObject *rrank, *by_rrank, *nrank;
     PyObject *chanq, *chan_src, *chan_dst, *out, *iobj;
     PyObject *counts_l, *xtra_l, *order;
@@ -171,6 +170,8 @@ get_scratch(S *s, Py_ssize_t need)
 
 /* Canonical int object for a node/channel index in [0, n). */
 #define IOBJ(s, i) PyList_GET_ITEM((s)->iobj, (i))
+/* Original node id object of node int i (for error messages). */
+#define ID(s, i) PyList_GET_ITEM((s)->ids, (i))
 /* long value of a PyList slot holding an int. */
 #define GETL(list, i) PyLong_AsLong(PyList_GET_ITEM((list), (i)))
 
@@ -257,8 +258,8 @@ heap_pop(PyObject *heap)
 /* ------------------------------------------------------------------ */
 /* Transport                                                           */
 /* ------------------------------------------------------------------ */
-/* emit(src, dst, tag, msg): msg is borrowed.  Mirrors the Python closure
- * exactly, including the self-send SimulationError. */
+/* emit(src, dst, tag, msg): msg is borrowed.  Mirrors SimNode.send,
+ * including the self-send SimulationError. */
 static int
 emit(S *s, long src, long dst, int tag, PyObject *msg)
 {
@@ -345,18 +346,6 @@ emitx(S *s, long src, long dst, int tag, PyObject *msg, long extra_ids)
 {
     s->xtra[tag] += extra_ids;
     return emit(s, src, dst, tag, msg);
-}
-
-/* Head message of a non-empty channel: new ref, slot untouched. */
-static PyObject *
-chan_peek(S *s, long cid)
-{
-    PyObject *slot = PyList_GET_ITEM(s->chanq, cid);
-    if (PyTuple_CheckExact(slot)) {
-        Py_INCREF(slot);
-        return slot;
-    }
-    return PySequence_GetItem(slot, 0);
 }
 
 /* Pop the head message of a non-empty channel: new ref.  A deque left
@@ -871,7 +860,7 @@ leader_on_search(S *s, long i, long sender, PyObject *msg)
         s->status[i] = ST_CONQUERED;
     }
     else if (s->status[i] == ST_WAIT && !s->aw_rel[i]) {
-        /* Python: `unexp[i] or peek_more(i) >= 0`, short-circuited. */
+        /* `unexplored or _peek_more() is not None`, short-circuited. */
         int go = PySet_GET_SIZE(PyList_GET_ITEM(s->unexp, i)) > 0;
         if (!go) {
             long pm = peek_more(s, i);
@@ -910,7 +899,15 @@ consume_own_release(S *s, long i, PyObject *msg)
         s->aw_info[i] = 1;
         return emit(s, i, leader, T_MERGE_ACCEPT, g_wire_ma);
     }
-    /* precheck guarantees PASSIVE/CONQUERED/INACTIVE here */
+    int st = s->status[i];
+    if (st != ST_PASSIVE && st != ST_CONQUERED && st != ST_INACTIVE) {
+        PyErr_Format(g_proto_error,
+                     "%R: own release (%s) in status %s with "
+                     "awaiting_release=%s",
+                     ID(s, i), is_merge ? "merge" : "abort", ST_NAMES[st],
+                     s->aw_rel[i] ? "True" : "False");
+        return -1;
+    }
     if (is_merge) {
         if (emit(s, i, leader, T_MERGE_FAIL, g_wire_mf) < 0)
             return -1;
@@ -965,10 +962,26 @@ exec_search(S *s, long i, long sender, PyObject *msg)
     }
     if (st == ST_WAIT || st == ST_PASSIVE)
         return leader_on_search(s, i, sender, msg) < 0 ? -1 : 1;
-    /* ST_TERMINATED, not outranked (prechecked) */
+    if (st != ST_TERMINATED) {
+        PyErr_Format(g_proto_error, "%R: search in impossible status %s",
+                     ID(s, i), ST_NAMES[st]);
+        return -1;
+    }
     PyObject *m = absorb_target(s, i, msg);
     if (m == NULL)
         return -1;
+    long initiator = PyLong_AsLong(PyTuple_GET_ITEM(m, 1));
+    long mphase = PyLong_AsLong(PyTuple_GET_ITEM(m, 2));
+    long ph = GETL(s->phase, i);
+    if (mphase > ph ||
+        (mphase == ph && GETL(s->nrank, initiator) > GETL(s->nrank, i))) {
+        PyErr_Format(g_proto_error,
+                     "%R: terminated leader outranked by search from %R -- "
+                     "termination was unsound",
+                     ID(s, i), ID(s, initiator));
+        Py_DECREF(m);
+        return -1;
+    }
     PyObject *rel = make_release(s, i, 0, PyTuple_GET_ITEM(m, 1));
     Py_DECREF(m);
     if (rel == NULL)
@@ -983,8 +996,21 @@ exec_release(S *s, long i, long sender, PyObject *msg)
 {
     if (PyLong_AsLong(PyTuple_GET_ITEM(msg, 3)) == i)
         return consume_own_release(s, i, msg) < 0 ? -1 : 1;
-    /* routing arm: INACTIVE with non-empty previous (prechecked) */
+    if (s->status[i] != ST_INACTIVE) {
+        PyErr_Format(g_proto_error,
+                     "%R: release for %R in status %s; only inactive nodes "
+                     "route releases",
+                     ID(s, i), ID(s, PyLong_AsLong(PyTuple_GET_ITEM(msg, 3))),
+                     ST_NAMES[(int)s->status[i]]);
+        return -1;
+    }
     PyObject *prev = PyList_GET_ITEM(s->previous, i);
+    if (prev == Py_None || PyObject_Size(prev) == 0) {
+        PyErr_Format(g_proto_error,
+                     "%R: release to route but previous queue empty",
+                     ID(s, i));
+        return -1;
+    }
     PyObject *item = PyObject_CallMethodNoArgs(prev, s_popleft);
     if (item == NULL)
         return -1;
@@ -1019,6 +1045,11 @@ exec_release(S *s, long i, long sender, PyObject *msg)
 static int
 exec_merge_accept(S *s, long i, long sender, PyObject *msg)
 {
+    if (s->status[i] != ST_CONQUERED) {
+        PyErr_Format(g_proto_error, "%R: merge-accept in status %s",
+                     ID(s, i), ST_NAMES[(int)s->status[i]]);
+        return -1;
+    }
     if (set_item_obj(s->nxt, i, IOBJ(s, sender)) < 0)
         return -1;
     PyObject *mo = PyList_GET_ITEM(s->more, i);
@@ -1227,6 +1258,11 @@ merge_direct(S *s, long i, PyObject *msg)
 static int
 exec_info(S *s, long i, long sender, PyObject *msg)
 {
+    if (s->status[i] != ST_CONQUEROR || !s->aw_info[i]) {
+        PyErr_Format(g_proto_error, "%R: info in status %s", ID(s, i),
+                     ST_NAMES[(int)s->status[i]]);
+        return -1;
+    }
     s->aw_info[i] = 0;
     if (s->variant[i] == V_GENERIC)
         return merge_with_unaware(s, i, msg) < 0 ? -1 : 1;
@@ -1236,6 +1272,13 @@ exec_info(S *s, long i, long sender, PyObject *msg)
 static int
 exec_conquer(S *s, long i, long sender, PyObject *msg)
 {
+    if (s->status[i] != ST_INACTIVE) {
+        PyErr_Format(g_proto_error,
+                     "%R: conquer in status %s; conquer messages only ever "
+                     "reach inactive nodes",
+                     ID(s, i), ST_NAMES[(int)s->status[i]]);
+        return -1;
+    }
     if (PyLong_AsLong(PyTuple_GET_ITEM(msg, 2)) >= GETL(s->phase, i)) {
         long leader = PyLong_AsLong(PyTuple_GET_ITEM(msg, 1));
         if (set_item_obj(s->nxt, i, IOBJ(s, leader)) < 0)
@@ -1254,10 +1297,20 @@ exec_more_done(S *s, long i, long sender, PyObject *msg)
 {
     if (s->status[i] == ST_TERMINATED)
         return 1;
-    /* CONQUEROR, not awaiting info, sender in unaware (prechecked) */
-    PyObject *ua = PyList_GET_ITEM(s->unaware, i);
-    if (PySet_Discard(ua, IOBJ(s, sender)) < 0)
+    if (s->status[i] != ST_CONQUEROR || s->aw_info[i]) {
+        PyErr_Format(g_proto_error, "%R: more-done in status %s", ID(s, i),
+                     ST_NAMES[(int)s->status[i]]);
         return -1;
+    }
+    PyObject *ua = PyList_GET_ITEM(s->unaware, i);
+    int found = PySet_Discard(ua, IOBJ(s, sender));
+    if (found < 0)
+        return -1;
+    if (!found) {
+        PyErr_Format(g_proto_error, "%R: more-done from %R not in unaware",
+                     ID(s, i), ID(s, sender));
+        return -1;
+    }
     int has_more = PyObject_IsTrue(PyTuple_GET_ITEM(msg, 1));
     if (has_more < 0)
         return -1;
@@ -1275,6 +1328,13 @@ exec_more_done(S *s, long i, long sender, PyObject *msg)
 static int
 exec_query(S *s, long i, long sender, PyObject *msg)
 {
+    if (s->status[i] != ST_INACTIVE) {
+        PyErr_Format(g_proto_error,
+                     "%R: query from %R in status %s; queries only ever "
+                     "reach inactive cluster members",
+                     ID(s, i), ID(s, sender), ST_NAMES[(int)s->status[i]]);
+        return -1;
+    }
     long long k = PyLong_AsLongLong(PyTuple_GET_ITEM(msg, 1));
     if (k == -1 && PyErr_Occurred())
         return -1;
@@ -1302,6 +1362,12 @@ exec_query(S *s, long i, long sender, PyObject *msg)
 static int
 exec_query_reply(S *s, long i, long sender, PyObject *msg)
 {
+    if (s->status[i] != ST_EXPLORE || GETL(s->aw_query, i) != sender) {
+        PyErr_Format(g_proto_error,
+                     "%R: unexpected query-reply from %R in status %s",
+                     ID(s, i), ID(s, sender), ST_NAMES[(int)s->status[i]]);
+        return -1;
+    }
     if (set_item_obj(s->aw_query, i, g_neg_one) < 0)
         return -1;
     int done_flag = PyObject_IsTrue(PyTuple_GET_ITEM(msg, 2));
@@ -1312,7 +1378,127 @@ exec_query_reply(S *s, long i, long sender, PyObject *msg)
     return explore(s, i) < 0 ? -1 : 1;
 }
 
-/* Dispatch an executable message; 1 consumed, 0 defer, -1 error. */
+/* Section 4.5.2 probes (DiscoveryNode._on_probe). */
+static int
+exec_probe(S *s, long i, long sender, PyObject *msg)
+{
+    int st = s->status[i];
+    if (PyLong_AsLong(PyTuple_GET_ITEM(msg, 1)) == i && st == ST_INACTIVE)
+        return emit(s, i, GETL(s->nxt, i), T_PROBE, msg) < 0 ? -1 : 1;
+    if (IS_LEADER[st]) {
+        /* knowledge = frozenset(more | done | unaware | {i}) */
+        PyObject *know = PyFrozenSet_New(PyList_GET_ITEM(s->more, i));
+        if (know == NULL)
+            return -1;
+        if (set_union_into(know, PyList_GET_ITEM(s->done, i)) < 0 ||
+            set_union_into(know, PyList_GET_ITEM(s->unaware, i)) < 0 ||
+            PySet_Add(know, IOBJ(s, i)) < 0) {
+            Py_DECREF(know);
+            return -1;
+        }
+        long extra = (long)PySet_GET_SIZE(know);
+        PyObject *reply = PyTuple_New(4);
+        if (reply == NULL) {
+            Py_DECREF(know);
+            return -1;
+        }
+        Py_INCREF(g_tag_objs[T_PROBE_REPLY]);
+        PyTuple_SET_ITEM(reply, 0, g_tag_objs[T_PROBE_REPLY]);
+        PyObject *io = IOBJ(s, i);
+        Py_INCREF(io);
+        PyTuple_SET_ITEM(reply, 1, io);
+        PyTuple_SET_ITEM(reply, 2, know); /* steals */
+        PyObject *init = PyTuple_GET_ITEM(msg, 1);
+        Py_INCREF(init);
+        PyTuple_SET_ITEM(reply, 3, init);
+        int r = emitx(s, i, sender, T_PROBE_REPLY, reply, extra);
+        Py_DECREF(reply);
+        return r < 0 ? -1 : 1;
+    }
+    if (st != ST_INACTIVE)
+        return 0; /* passive/conquered resolve to inactive eventually */
+    PyObject *pq = PyList_GET_ITEM(s->probe_prev, i);
+    if (pq == Py_None) {
+        pq = PyObject_CallNoArgs(g_deque_type);
+        if (pq == NULL)
+            return -1;
+        PyList_SetItem(s->probe_prev, i, pq); /* steals */
+    }
+    PyObject *pair = PyTuple_Pack(2, msg, IOBJ(s, sender));
+    if (pair == NULL)
+        return -1;
+    PyObject *r = PyObject_CallMethodOneArg(pq, s_append, pair);
+    Py_DECREF(pair);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    if (PyObject_Size(pq) == 1 &&
+        emit(s, i, GETL(s->nxt, i), T_PROBE, msg) < 0)
+        return -1;
+    return 1;
+}
+
+/* DiscoveryNode._on_probe_reply. */
+static int
+exec_probe_reply(S *s, long i, long sender, PyObject *msg)
+{
+    if (PyLong_AsLong(PyTuple_GET_ITEM(msg, 3)) == i) {
+        PyObject *pr = PyList_GET_ITEM(s->presults, i);
+        if (pr == Py_None) {
+            pr = PyList_New(0);
+            if (pr == NULL)
+                return -1;
+            PyList_SetItem(s->presults, i, pr); /* steals */
+        }
+        PyObject *res = PyTuple_Pack(2, PyTuple_GET_ITEM(msg, 1),
+                                     PyTuple_GET_ITEM(msg, 2));
+        if (res == NULL)
+            return -1;
+        int r = PyList_Append(pr, res);
+        Py_DECREF(res);
+        if (r < 0)
+            return -1;
+        s->probe_out[i] = 0;
+        return 1;
+    }
+    if (s->status[i] != ST_INACTIVE) {
+        PyErr_Format(g_proto_error, "%R: probe-reply to route in status %s",
+                     ID(s, i), ST_NAMES[(int)s->status[i]]);
+        return -1;
+    }
+    PyObject *pq = PyList_GET_ITEM(s->probe_prev, i);
+    if (pq == Py_None || PyObject_Size(pq) == 0) {
+        PyErr_Format(g_proto_error, "%R: probe-reply but probe queue empty",
+                     ID(s, i));
+        return -1;
+    }
+    PyObject *item = PyObject_CallMethodNoArgs(pq, s_popleft);
+    if (item == NULL)
+        return -1;
+    long came_from = PyLong_AsLong(PyTuple_GET_ITEM(item, 1));
+    Py_DECREF(item);
+    if (set_item_obj(s->nxt, i, PyTuple_GET_ITEM(msg, 1)) < 0)
+        return -1;
+    long extra = (long)PySet_GET_SIZE(PyTuple_GET_ITEM(msg, 2));
+    if (emitx(s, i, came_from, T_PROBE_REPLY, msg, extra) < 0)
+        return -1;
+    Py_ssize_t left = PyObject_Size(pq);
+    if (left < 0)
+        return -1;
+    if (left == 0) {
+        /* drained: back to the lazy empty slot (frees the deque) */
+        Py_INCREF(Py_None);
+        return PyList_SetItem(s->probe_prev, i, Py_None) < 0 ? -1 : 1;
+    }
+    PyObject *head = PySequence_GetItem(pq, 0);
+    if (head == NULL)
+        return -1;
+    int r = emit(s, i, GETL(s->nxt, i), T_PROBE, PyTuple_GET_ITEM(head, 0));
+    Py_DECREF(head);
+    return r < 0 ? -1 : 1;
+}
+
+/* Dispatch one message; 1 consumed, 0 defer, -1 error. */
 static int
 exec_msg(S *s, long i, long sender, long tag, PyObject *msg)
 {
@@ -1332,84 +1518,42 @@ exec_msg(S *s, long i, long sender, long tag, PyObject *msg)
     case T_MERGE_ACCEPT:
         return exec_merge_accept(s, i, sender, msg);
     case T_MERGE_FAIL:
+        if (s->status[i] != ST_CONQUERED) {
+            PyErr_Format(g_proto_error, "%R: merge-fail in status %s",
+                         ID(s, i), ST_NAMES[(int)s->status[i]]);
+            return -1;
+        }
         s->status[i] = ST_PASSIVE;
         return 1;
     case T_INFO:
         return exec_info(s, i, sender, msg);
+    case T_PROBE:
+        return exec_probe(s, i, sender, msg);
+    case T_PROBE_REPLY:
+        return exec_probe_reply(s, i, sender, msg);
     default:
         PyErr_SetString(PyExc_RuntimeError,
-                        "arrayloop: exec_msg on unhandleable tag");
+                        "arrayloop: unknown wire tag");
         return -1;
     }
 }
 
-/* Pure-read precheck: 1 if exec_msg reproduces the Python handler for this
- * message bit-for-bit, 0 if the step must go back to Python (raise paths,
- * probes, unknown tags).  -1 on internal error. */
+/* Park a (sender, msg) pair on node i's deferred list; 0 ok, -1 error. */
 static int
-can_handle(S *s, long dst, long src, PyObject *msg)
+defer(S *s, long i, PyObject *pair)
 {
-    long tag = PyLong_AsLong(PyTuple_GET_ITEM(msg, 0));
-    int st = s->status[dst];
-    switch (tag) {
-    case T_QUERY:
-        return st == ST_INACTIVE;
-    case T_QUERY_REPLY:
-        return st == ST_EXPLORE && GETL(s->aw_query, dst) == src;
-    case T_SEARCH: {
-        if (st != ST_TERMINATED)
-            return 1;
-        /* terminated leader: handle only the not-outranked reply arm */
-        long mphase = PyLong_AsLong(PyTuple_GET_ITEM(msg, 2));
-        long ph = GETL(s->phase, dst);
-        if (mphase > ph)
-            return 0;
-        if (mphase == ph) {
-            long initiator = PyLong_AsLong(PyTuple_GET_ITEM(msg, 1));
-            if (GETL(s->nrank, initiator) > GETL(s->nrank, dst))
-                return 0;
-        }
-        return 1;
-    }
-    case T_RELEASE: {
-        if (PyLong_AsLong(PyTuple_GET_ITEM(msg, 3)) == dst) {
-            if (st == ST_WAIT)
-                return s->aw_rel[dst] != 0;
-            return st == ST_PASSIVE || st == ST_CONQUERED ||
-                   st == ST_INACTIVE;
-        }
-        if (st != ST_INACTIVE)
-            return 0;
-        PyObject *prev = PyList_GET_ITEM(s->previous, dst);
-        if (prev == Py_None)
-            return 0;
-        Py_ssize_t sz = PyObject_Size(prev);
-        if (sz < 0)
+    PyObject *df = PyList_GET_ITEM(s->deferred, i);
+    if (df == Py_None) {
+        df = PyList_New(0);
+        if (df == NULL)
             return -1;
-        return sz > 0;
+        PyList_SetItem(s->deferred, i, df); /* steals */
     }
-    case T_MERGE_ACCEPT:
-    case T_MERGE_FAIL:
-        return st == ST_CONQUERED;
-    case T_INFO:
-        return st == ST_CONQUEROR && s->aw_info[dst];
-    case T_CONQUER:
-        return st == ST_INACTIVE;
-    case T_MORE_DONE: {
-        if (st == ST_TERMINATED)
-            return 1;
-        if (st != ST_CONQUEROR || s->aw_info[dst])
-            return 0;
-        return PySet_Contains(PyList_GET_ITEM(s->unaware, dst),
-                              IOBJ(s, src));
-    }
-    default:
-        return 0; /* probes, unknown tags */
-    }
+    return PyList_Append(df, pair);
 }
 
 /* ------------------------------------------------------------------ */
-/* Inbox pump (deferral replay); 0 done, 1 resume-in-Python, -1 error. */
+/* Inbox pump (deferral replay, Interpretation rule 1); 0 ok, -1 error. */
 /* ------------------------------------------------------------------ */
 static int
 c_pump(S *s, long i)
@@ -1426,52 +1570,14 @@ c_pump(S *s, long i)
             Py_INCREF(Py_None);
             return PyList_SetItem(s->inbox, i, Py_None);
         }
-        PyObject *item = PySequence_GetItem(ib, 0); /* (sender, msg) */
+        PyObject *item = PyObject_CallMethodNoArgs(ib, s_popleft);
         if (item == NULL)
             return -1;
         long sender = PyLong_AsLong(PyTuple_GET_ITEM(item, 0));
         PyObject *msg = PyTuple_GET_ITEM(item, 1);
         long tag = PyLong_AsLong(PyTuple_GET_ITEM(msg, 0));
-        int ch = can_handle(s, i, sender, msg);
-        if (ch < 0) {
-            Py_DECREF(item);
-            return -1;
-        }
-        if (!ch) {
-            Py_DECREF(item);
-            return 1;
-        }
-        PyObject *popped = PyObject_CallMethodNoArgs(ib, s_popleft);
-        if (popped == NULL) {
-            Py_DECREF(item);
-            return -1;
-        }
-        Py_DECREF(popped);
         PyObject *df = PyList_GET_ITEM(s->deferred, i);
         int df_active = df != Py_None && PyList_GET_SIZE(df) > 0;
-        if (!df_active) {
-            int consumed = exec_msg(s, i, sender, tag, msg);
-            if (consumed < 0) {
-                Py_DECREF(item);
-                return -1;
-            }
-            if (!consumed) {
-                if (df == Py_None) {
-                    df = PyList_New(0);
-                    if (df == NULL) {
-                        Py_DECREF(item);
-                        return -1;
-                    }
-                    PyList_SetItem(s->deferred, i, df); /* steals */
-                }
-                if (PyList_Append(df, item) < 0) {
-                    Py_DECREF(item);
-                    return -1;
-                }
-            }
-            Py_DECREF(item);
-            continue;
-        }
         int b_st = s->status[i], b_rel = s->aw_rel[i],
             b_info = s->aw_info[i];
         long b_q = GETL(s->aw_query, i);
@@ -1481,14 +1587,14 @@ c_pump(S *s, long i)
             return -1;
         }
         if (!consumed) {
-            int r = PyList_Append(df, item);
+            int r = defer(s, i, item);
             Py_DECREF(item);
             if (r < 0)
                 return -1;
             continue;
         }
         Py_DECREF(item);
-        if (PyList_GET_SIZE(df) > 0 &&
+        if (df_active && PyList_GET_SIZE(df) > 0 &&
             (s->status[i] != b_st || s->aw_rel[i] != b_rel ||
              s->aw_info[i] != b_info || GETL(s->aw_query, i) != b_q)) {
             /* ib.extendleft(reversed(df)) */
@@ -1518,6 +1624,7 @@ free_s(S *s)
     Py_XDECREF(s->stale_o);
     Py_XDECREF(s->variant_o);
     Py_XDECREF(s->greedy_o);
+    Py_XDECREF(s->probe_out_o);
     Py_XDECREF(s->ids);
     Py_XDECREF(s->nxt);
     Py_XDECREF(s->phase);
@@ -1533,6 +1640,8 @@ free_s(S *s)
     Py_XDECREF(s->previous);
     Py_XDECREF(s->inbox);
     Py_XDECREF(s->deferred);
+    Py_XDECREF(s->probe_prev);
+    Py_XDECREF(s->presults);
     Py_XDECREF(s->rrank);
     Py_XDECREF(s->by_rrank);
     Py_XDECREF(s->nrank);
@@ -1583,6 +1692,7 @@ fill_s(S *s, PyObject *core)
     FETCH_BYTES(stale, "expect_stale");
     FETCH_BYTES(variant, "variant");
     FETCH_BYTES(greedy, "greedy");
+    FETCH_BYTES(probe_out, "probe_out");
     FETCH_LIST(ids, "ids");
     FETCH_LIST(nxt, "nxt");
     FETCH_LIST(phase, "phase");
@@ -1598,6 +1708,8 @@ fill_s(S *s, PyObject *core)
     FETCH_LIST(previous, "previous");
     FETCH_LIST(inbox, "inbox");
     FETCH_LIST(deferred, "deferred");
+    FETCH_LIST(probe_prev, "probe_prev");
+    FETCH_LIST(presults, "presults");
     FETCH_LIST(rrank, "rrank");
     FETCH_LIST(by_rrank, "by_rrank");
     FETCH_LIST(nrank, "nrank");
@@ -1689,9 +1801,7 @@ loop_run(PyObject *self, PyObject *args)
         free_s(&s);
         return NULL;
     }
-    int code = RC_DRAINED;
-    long aux = -1;
-
+    int code;
     for (;;) {
         Py_ssize_t psz;
         if (s.mode == MODE_FIFO) {
@@ -1723,7 +1833,7 @@ loop_run(PyObject *self, PyObject *args)
                 goto error;
         }
         else {
-            /* the getrandbits rejection loop the Python loop inlines */
+            /* random.Random._randbelow's getrandbits rejection loop */
             int k = 64 - __builtin_clzll((unsigned long long)psz);
             long index;
             for (;;) {
@@ -1750,42 +1860,24 @@ loop_run(PyObject *self, PyObject *args)
                 goto error;
         }
 
+        steps += 1;
+        s.steps = steps;
         if (token < 0) {
-            /* wake token */
+            /* wake token: on_wake explores, then pumps the inbox */
             long node = -1 - token;
-            steps += 1;
-            s.steps = steps;
             if (!s.awake[node]) {
                 s.awake[node] = 1;
-                if (explore(&s, node) < 0)
+                if (explore(&s, node) < 0 || c_pump(&s, node) < 0)
                     goto error;
-                PyObject *ib = PyList_GET_ITEM(s.inbox, node);
-                if (ib != Py_None) {
-                    Py_ssize_t isz = PyObject_Size(ib);
-                    if (isz < 0)
-                        goto error;
-                    if (isz > 0) {
-                        int pr = c_pump(&s, node);
-                        if (pr < 0)
-                            goto error;
-                        if (pr == 1) {
-                            code = RC_PUMP;
-                            aux = node;
-                            goto done;
-                        }
-                    }
-                }
             }
         }
         else {
-            /* deliver token: peek, wake, precheck, then commit */
-            PyObject *msg = chan_peek(&s, token);
+            /* deliver token; messages wake sleeping nodes (Section 1.2) */
+            PyObject *msg = chan_pop(&s, token);
             if (msg == NULL)
                 goto error;
             long dst = GETL(s.chan_dst, token);
             long src = GETL(s.chan_src, token);
-            steps += 1;
-            s.steps = steps;
             if (!s.awake[dst]) {
                 s.awake[dst] = 1;
                 if (explore(&s, dst) < 0) {
@@ -1794,10 +1886,10 @@ loop_run(PyObject *self, PyObject *args)
                 }
             }
             PyObject *dfv = PyList_GET_ITEM(s.deferred, dst);
-            PyObject *ibv = PyList_GET_ITEM(s.inbox, dst);
+            PyObject *ib = PyList_GET_ITEM(s.inbox, dst);
             int busy = dfv != Py_None && PyList_GET_SIZE(dfv) > 0;
-            if (!busy && ibv != Py_None) {
-                Py_ssize_t isz = PyObject_Size(ibv);
+            if (!busy && ib != Py_None) {
+                Py_ssize_t isz = PyObject_Size(ib);
                 if (isz < 0) {
                     Py_DECREF(msg);
                     goto error;
@@ -1805,23 +1897,16 @@ loop_run(PyObject *self, PyObject *args)
                 busy = isz > 0;
             }
             if (busy) {
-                PyObject *popped = chan_pop(&s, token);
-                if (popped == NULL) {
-                    Py_DECREF(msg);
-                    goto error;
-                }
-                Py_DECREF(msg);
-                PyObject *ib = ibv;
                 if (ib == Py_None) {
                     ib = PyObject_CallNoArgs(g_deque_type);
                     if (ib == NULL) {
-                        Py_DECREF(popped);
+                        Py_DECREF(msg);
                         goto error;
                     }
                     PyList_SetItem(s.inbox, dst, ib); /* steals */
                 }
-                PyObject *pair = PyTuple_Pack(2, IOBJ(&s, src), popped);
-                Py_DECREF(popped);
+                PyObject *pair = PyTuple_Pack(2, IOBJ(&s, src), msg);
+                Py_DECREF(msg);
                 if (pair == NULL)
                     goto error;
                 PyObject *r = PyObject_CallMethodOneArg(ib, s_append, pair);
@@ -1829,64 +1914,20 @@ loop_run(PyObject *self, PyObject *args)
                 if (r == NULL)
                     goto error;
                 Py_DECREF(r);
-                int pr = c_pump(&s, dst);
-                if (pr < 0)
+                if (c_pump(&s, dst) < 0)
                     goto error;
-                if (pr == 1) {
-                    code = RC_PUMP;
-                    aux = dst;
-                    goto done;
-                }
             }
             else {
-                int ch = can_handle(&s, dst, src, msg);
-                if (ch < 0) {
-                    Py_DECREF(msg);
-                    goto error;
-                }
-                if (!ch) {
-                    Py_DECREF(msg);
-                    steps -= 1;
-                    s.steps = steps;
-                    code = RC_DEOPT;
-                    aux = token;
-                    goto done;
-                }
-                PyObject *popped = chan_pop(&s, token);
-                if (popped == NULL) {
-                    Py_DECREF(msg);
-                    goto error;
+                long tag = PyLong_AsLong(PyTuple_GET_ITEM(msg, 0));
+                int consumed = exec_msg(&s, dst, src, tag, msg);
+                if (consumed == 0) {
+                    PyObject *pair = PyTuple_Pack(2, IOBJ(&s, src), msg);
+                    consumed = pair == NULL ? -1 : defer(&s, dst, pair);
+                    Py_XDECREF(pair);
                 }
                 Py_DECREF(msg);
-                long tag = PyLong_AsLong(PyTuple_GET_ITEM(popped, 0));
-                int consumed = exec_msg(&s, dst, src, tag, popped);
-                if (consumed < 0) {
-                    Py_DECREF(popped);
+                if (consumed < 0)
                     goto error;
-                }
-                if (!consumed) {
-                    PyObject *df = PyList_GET_ITEM(s.deferred, dst);
-                    if (df == Py_None) {
-                        df = PyList_New(0);
-                        if (df == NULL) {
-                            Py_DECREF(popped);
-                            goto error;
-                        }
-                        PyList_SetItem(s.deferred, dst, df); /* steals */
-                    }
-                    PyObject *pair = PyTuple_Pack(2, IOBJ(&s, src), popped);
-                    if (pair == NULL) {
-                        Py_DECREF(popped);
-                        goto error;
-                    }
-                    int r = PyList_Append(df, pair);
-                    Py_DECREF(pair);
-                    if (r < 0) {
-                        Py_DECREF(popped);
-                        goto error;
-                    }
-                }
-                Py_DECREF(popped);
             }
         }
         if (steps >= s.stop) {
@@ -1895,13 +1936,10 @@ loop_run(PyObject *self, PyObject *args)
         }
     }
 
-done:
     s.steps = steps;
     sync_out(&s, cell);
     free_s(&s);
-    if (PyErr_Occurred())
-        return NULL;
-    return Py_BuildValue("il", code, aux);
+    return Py_BuildValue("ii", code, -1);
 
 error:
     s.steps = steps;
@@ -1932,6 +1970,7 @@ loop_configure(PyObject *self, PyObject *args)
     } while (0)
     CFG(g_deque_type, "deque");
     CFG(g_sim_error, "simulation_error");
+    CFG(g_proto_error, "protocol_error");
     CFG(g_msg_types, "msg_types");
     CFG(g_wire_ma, "wire_merge_accept");
     CFG(g_wire_mf, "wire_merge_fail");

@@ -6,11 +6,13 @@ the repo needs no build step, no setuptools machinery, and no wheel: the
 first eligible run pays ~1s of ``cc -O2`` once per source revision and
 every later process dlopens the cached object.  Anything going wrong --
 no compiler, sandboxed filesystem, constant drift between the C file and
-the Python modules it mirrors -- degrades to ``None`` and the pure-Python
-loop in :meth:`ArrayCore.run_loop` keeps running, bit-identically.
+the Python modules it mirrors -- degrades to ``None``, and
+:func:`unavailable_reason` says why.  Without the module, simulator runs
+take the fastcore object loop (bit-identical) and
+:func:`repro.core.arraystate.run_graph` builds node objects, warning once
+per call with that reason.
 
-Set ``REPRO_PURE_PYTHON=1`` to force the fallback (the differential suite
-uses it to pin C-vs-Python equivalence).
+Set ``REPRO_PURE_PYTHON=1`` to simulate a platform without a compiler.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from typing import Optional
 from collections import deque
 
 from repro.core.messages import (
+    ABORT,
+    MERGE,
     MSG_TYPES,
     T_CONQUER,
     T_INFO,
@@ -45,21 +49,31 @@ from repro.core.messages import (
     WIRE_MORE_DONE_FALSE,
     WIRE_MORE_DONE_TRUE,
 )
-from repro.core.node import STATUS_CODES, VARIANTS
+from repro.core.node import LEADER_STATES, STATUS_CODES, VARIANTS, ProtocolError
 from repro.sim.network import SimulationError
 
-__all__ = ["load"]
+__all__ = ["load", "unavailable_reason"]
 
 _SOURCE = Path(__file__).with_name("_arrayloop.c")
 
 #: sentinel distinguishing "never tried" from "tried and unavailable"
 _UNSET = object()
 _module = _UNSET
+#: why the last :func:`load` returned ``None`` (``None`` otherwise)
+_reason: Optional[str] = None
+
+#: how much of the compiler's stderr a failed build reports
+_STDERR_TAIL = 400
+
+
+class _Unavailable(Exception):
+    """Internal: the C loop cannot be built or loaded; ``str`` says why."""
 
 
 def _constants_match() -> bool:
-    """The C file hardcodes the wire/status/variant encodings; refuse to
-    load it if the Python side ever drifts (fallback stays correct)."""
+    """The C file hardcodes the wire/status/variant encodings, the leader
+    states and the release answers its error texts name; refuse to load
+    it if the Python side ever drifts (the object loop stays correct)."""
     tags = (
         (T_QUERY, 0),
         (T_QUERY_REPLY, 1),
@@ -87,6 +101,10 @@ def _constants_match() -> bool:
     )
     if any(STATUS_CODES.get(name) != code for name, code in statuses):
         return False
+    if LEADER_STATES != {"explore", "wait", "conqueror", "terminated"}:
+        return False
+    if (MERGE, ABORT) != ("merge", "abort"):
+        return False
     return tuple(VARIANTS) == ("generic", "bounded", "adhoc")
 
 
@@ -105,12 +123,15 @@ def _so_path() -> Path:
     return cache / f"_arrayloop_{tag}_cp{sys.version_info[0]}{sys.version_info[1]}.so"
 
 
-def _build() -> Optional[Path]:
-    """Compile ``_arrayloop.c`` into the cache; return the .so path."""
+def _build() -> Path:
+    """Compile ``_arrayloop.c`` into the cache; return the .so path.
+
+    Raises :class:`_Unavailable` naming what went wrong.
+    """
     try:
         so_path = _so_path()
-    except OSError:
-        return None
+    except OSError as exc:
+        raise _Unavailable(f"cannot locate the build cache: {exc}")
     if so_path.exists():
         return so_path
     cache = so_path.parent
@@ -119,10 +140,10 @@ def _build() -> Optional[Path]:
     if shutil.which(cc) is None:
         cc = "cc"
         if shutil.which(cc) is None:
-            return None
+            raise _Unavailable("no C compiler on PATH")
     include = sysconfig.get_paths().get("include")
     if not include:
-        return None
+        raise _Unavailable("no Python include directory")
     tmp = so_path.with_name(f"{name}.{os.getpid()}.tmp.so")
     try:
         cache.mkdir(parents=True, exist_ok=True)
@@ -133,11 +154,12 @@ def _build() -> Optional[Path]:
             timeout=300,
         )
         if proc.returncode != 0:
-            return None
+            tail = proc.stderr.decode(errors="replace").strip()[-_STDERR_TAIL:]
+            raise _Unavailable(f"{cc} exited {proc.returncode}: {tail}")
         os.replace(tmp, so_path)  # atomic: concurrent builders converge
         return so_path
-    except (OSError, subprocess.SubprocessError):
-        return None
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise _Unavailable(f"build failed: {exc}")
     finally:
         try:
             if tmp.exists():
@@ -149,32 +171,43 @@ def _build() -> Optional[Path]:
 def load():
     """Return the configured ``_arrayloop`` module, or ``None``.
 
-    Idempotent and memoized (including the ``None`` outcome); safe to call
-    per ``run_loop`` entry.
+    Idempotent and memoized (including the ``None`` outcome and its
+    reason); safe to call per run.
     """
-    global _module
+    global _module, _reason
     if _module is not _UNSET:
         return _module
     _module = None  # any failure below stays a cheap memoized miss
-    if os.environ.get("REPRO_PURE_PYTHON"):
-        return None
-    if not _constants_match():
-        return None
-    so_path = _build()
-    if so_path is None:
-        return None
     try:
-        spec = importlib.util.spec_from_file_location(
-            "repro.core._arrayloop", so_path
-        )
-        if spec is None or spec.loader is None:
-            return None
+        _module = _load()
+    except _Unavailable as exc:
+        _reason = str(exc)
+    return _module
+
+
+def unavailable_reason() -> Optional[str]:
+    """Why :func:`load` returned ``None``; ``None`` when it has not, or
+    when the module was disabled without one."""
+    return _reason if _module is None else None
+
+
+def _load():
+    if os.environ.get("REPRO_PURE_PYTHON"):
+        raise _Unavailable("REPRO_PURE_PYTHON is set")
+    if not _constants_match():
+        raise _Unavailable("constants drifted from _arrayloop.c")
+    so_path = _build()
+    spec = importlib.util.spec_from_file_location("repro.core._arrayloop", so_path)
+    if spec is None or spec.loader is None:
+        raise _Unavailable(f"cannot import {so_path.name}")
+    try:
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
         mod.configure(
             {
                 "deque": deque,
                 "simulation_error": SimulationError,
+                "protocol_error": ProtocolError,
                 "msg_types": MSG_TYPES,
                 "wire_merge_accept": WIRE_MERGE_ACCEPT,
                 "wire_merge_fail": WIRE_MERGE_FAIL,
@@ -183,7 +216,6 @@ def load():
                 "greedy_k": 1 << 62,
             }
         )
-    except Exception:
-        return None
-    _module = mod
+    except Exception as exc:
+        raise _Unavailable(f"loading {so_path.name} failed: {exc!r}")
     return mod

@@ -5,7 +5,10 @@ the bottleneck out of the simulator and into the protocol itself: at
 n >= 10^5 the remaining cost is dict-of-sets cluster state on
 :class:`~repro.core.node.DiscoveryNode`, frozen-dataclass message
 construction, and attribute-heavy handler dispatch.  This module removes
-all three by running the *same* state machine over columnar state:
+all three by laying the state out in columns that the C delivery loop
+(``_arrayloop.c``, loaded by :mod:`repro.core.arrayloop`) runs the *same*
+state machine over; :mod:`repro.core.node` stays the one reference
+implementation of the handlers, and this module holds none:
 
 * **Id interning** (:class:`IdSpace`): node ids become dense ints
   ``0..n-1`` in simulator insertion order.  Two total orders are
@@ -27,10 +30,14 @@ all three by running the *same* state machine over columnar state:
   the whole pool is ints, so the pop loop dispatches on a sign check
   instead of ``type(token)``.
 
-Engagement and deopt
---------------------
+Engagement
+----------
 :func:`maybe_run_array` is called by :func:`repro.sim.fastcore.run_fast`
-*after* ``eligible(sim)`` already held.  It additionally requires: every
+*after* ``eligible(sim)`` already held.  It declines when the C loop is
+not loaded, when the run records a trace, or when the scheduler is not
+one the C pop replays (a stock ``random.Random`` in random mode, the
+pool type matching its mode); the fastcore object loop serves each of
+those with identical results and traces.  It further requires: every
 node is exactly a :class:`DiscoveryNode` (no transport wrappers, no
 recovery state, no instance-patched handlers), the pool holds only wake
 and deliver tokens, all in-flight messages are stock message types, and
@@ -40,32 +47,34 @@ pending events stay on the object fast loop).  Any violation returns
 ``None`` and the caller falls through; *nothing is mutated until every
 check has passed*.
 
-On every exit -- quiescence, :class:`StepLimitExceeded`, or a handler
-exception -- the columnar state is materialized back onto the live node
-objects, channel deques and scheduler pool, so the simulator is always in
-a legal object-path state when anyone else can look at it.  Traces are
-emitted live with original ids (and dataclass payloads for digests), and
-stats fold through :meth:`MessageStats.record_indexed` preserving the
-first-send key order the per-message path would have produced.  The
-differential suite (``tests/test_fastcore_equivalence.py`` and
-``tests/test_arraystate.py``) pins all of this bit-for-bit.
+On every exit -- quiescence, :class:`StepLimitExceeded`, or a
+:class:`~repro.core.node.ProtocolError` raised by the C loop -- the
+columnar state is materialized back onto the live node objects, channel
+deques and scheduler pool, so the simulator is always in a legal
+object-path state when anyone else can look at it.  Stats fold through
+:meth:`MessageStats.record_indexed` preserving the first-send key order
+the per-message path would have produced.  The differential suite
+(``tests/test_fastcore_equivalence.py`` and ``tests/test_arraystate.py``)
+pins all of this bit-for-bit against the legacy loop.
 
 :func:`run_graph` is the million-node driver: it builds the columns
 straight from a :class:`KnowledgeGraph` -- no ``DiscoveryNode`` objects at
 all (10^6 of them cost ~4 GB before the first message) -- runs the same
-loop, and verifies the problem's properties in O(n + E).
+loop, and verifies the problem's properties in O(n + E).  Without the C
+loop it builds objects instead and warns.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 from random import Random as _Random
 from sys import maxsize
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 from repro.core.messages import (
     ABORT,
@@ -103,7 +112,6 @@ from repro.core import arrayloop as _arrayloop
 from repro.core.node import (
     DiscoveryNode,
     LEADER_STATES,
-    ProtocolError,
     STATUS_CODES,
     STATUS_NAMES,
     VARIANTS,
@@ -111,7 +119,7 @@ from repro.core.node import (
 )
 from repro.sim.events import DeliverToken, WakeToken
 from repro.sim.network import SimulationError, StepLimitExceeded
-from repro.sim.trace import MessageStats, TraceEvent
+from repro.sim.trace import MessageStats
 
 __all__ = [
     "IdSpace",
@@ -128,29 +136,20 @@ __all__ = [
 # this module).
 _FIFO, _LIFO, _RANDOM = 0, 1, 2
 
-# Dense status codes (indexes into STATUS_NAMES; the tuple order in
-# core.node is frozen precisely so these stay valid).
-(
-    _ASLEEP,
-    _EXPLORE,
-    _WAIT,
-    _CONQUERED,
-    _CONQUEROR,
-    _PASSIVE,
-    _INACTIVE,
-    _TERMINATED,
-) = range(8)
+# Dense status codes index STATUS_NAMES (the tuple order in core.node is
+# frozen precisely so the codes stay valid; the C loop hardcodes them).
+_TERMINATED = STATUS_CODES["terminated"]
 
 #: status code -> is this a leader state (paper definition; byte lookup).
 IS_LEADER = bytes(
     1 if STATUS_NAMES[code] in LEADER_STATES else 0 for code in range(8)
 )
 
-_GENERIC, _BOUNDED, _ADHOC = 0, 1, 2
+_BOUNDED, _ADHOC = 1, 2
 _VARIANT_CODES = {name: code for code, name in enumerate(VARIANTS)}
 
 #: exact message class -> wire tag (exact type on purpose: a message
-#: subclass may change bit_size or semantics, so it deopts).
+#: subclass may change bit_size or semantics, so it is ineligible).
 _TAG_OF = {
     Query: T_QUERY,
     QueryReply: T_QUERY_REPLY,
@@ -223,7 +222,7 @@ class _Ineligible(Exception):
 
 
 #: The function behind ``Random._randbelow`` -- used to recognize a stock
-#: RNG whose draw loop the run loop may inline over C-level getrandbits.
+#: RNG whose draw loop the C loop inlines over C-level getrandbits.
 _RANDBELOW = _Random._randbelow
 
 #: step-limit ceiling handed to the C loop; ``stop`` can be
@@ -506,7 +505,7 @@ class ArrayCore:
         self.id_bits = id_bits
         rrank = space.repr_rank
         if fill:
-            self.status = bytearray(n)  # all _ASLEEP
+            self.status = bytearray(n)  # all asleep
             self.awake = bytearray(n)
             self.nxt = list(range(n))
             self.phase = [1] * n
@@ -573,615 +572,22 @@ class ArrayCore:
     # ------------------------------------------------------------------
     # The engine
     # ------------------------------------------------------------------
-    def run_loop(self, pool, mode, randbelow, limit, trace_events, quiescent, limit_msg):
-        """Run the state machine until the pool drains (or ``limit``).
+    def run_loop(self, pool, mode, getrandbits, limit, quiescent, limit_msg):
+        """Run the state machine in the C loop until the pool drains (or
+        ``limit`` steps have run and ``quiescent()`` is false).
 
         ``pool`` holds only ints: channel ids ``>= 0`` (deliveries) and
-        ``-1 - node_int`` (wake-ups).  ``quiescent``/``limit_msg`` are
-        callables so the simulator-backed and graph-backed drivers can
-        plug their own formulas.  Returns executed step count; updates
+        ``-1 - node_int`` (wake-ups), in a deque for FIFO mode and a list
+        otherwise.  ``getrandbits`` is the stock RNG's bound method in
+        random mode (``None`` otherwise).  ``quiescent``/``limit_msg`` are
+        callables so the simulator-backed and graph-backed drivers can plug
+        their own formulas.  Returns the executed step count; updates
         ``self.steps_out`` on every exit for the materializer.
         """
-        # -- bind columns as locals (the whole point of the module) ------
-        ids = self.ids
-        rrank = self.rrank
-        by_rrank = self.by_rrank
-        nrank = self.nrank
-        status = self.status
-        awake = self.awake
-        nxt = self.nxt
-        phase = self.phase
-        local = self.local
-        done = self.done
-        more = self.more
-        unaware = self.unaware
-        unexp = self.unexp
-        mheap = self.mheap
-        uheap = self.uheap
-        previous = self.previous
-        inbox = self.inbox
-        deferred = self.deferred
-        aw_rel = self.aw_rel
-        aw_query = self.aw_query
-        aw_info = self.aw_info
-        expect_stale = self.expect_stale
-        probe_prev = self.probe_prev
-        presults = self.presults
-        probe_out = self.probe_out
-        variant = self.variant
-        csize = self.csize
-        greedy = self.greedy
-        chanq = self.chanq
-        chan_src = self.chan_src
-        chan_dst = self.chan_dst
-        out = self.out
-        deque_type = deque
-        counts = self.counts
-        bits = self.bits
-        xtra = self.xtra
-        order = self.order
-        bases = fixed_bit_bases(self.id_bits)
-        idc = self.id_bits if self.id_bits > 1 else 1
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        pool_append = pool.append
-        is_leader = IS_LEADER
-        status_names = STATUS_NAMES
-        # Wire tags and status codes compared in the delivery chain, as
-        # locals (module globals cost a dict probe per load in the loop).
-        t_search = T_SEARCH
-        t_release = T_RELEASE
-        t_more_done = T_MORE_DONE
-        t_query = T_QUERY
-        t_query_reply = T_QUERY_REPLY
-        t_conquer = T_CONQUER
-        t_probe = T_PROBE
-        s_explore = _EXPLORE
-        s_wait = _WAIT
-        s_conquered = _CONQUERED
-        s_conqueror = _CONQUEROR
-        s_passive = _PASSIVE
-        s_inactive = _INACTIVE
-        s_terminated = _TERMINATED
-        md_true = WIRE_MORE_DONE_TRUE
-        md_false = WIRE_MORE_DONE_FALSE
-
-        # -- transport ---------------------------------------------------
-        def emit(src, dst, tag, msg):
-            if dst == src:
-                # Parity with SimNode.send's guard (protocol-impossible).
-                raise SimulationError(
-                    f"node {ids[src]!r} tried to message itself with "
-                    f"{MSG_TYPES[tag]!r}; self-interactions must be simulated "
-                    "internally (Section 4.1)"
-                )
-            d = out[src]
-            if d is None:
-                d = out[src] = {}
-            cid = d.get(dst)
-            if cid is None:
-                # Mid-run channels exist only as slots here and are synced
-                # onto ``sim._channels`` at materialization -- nothing can
-                # observe the dict mid-run on this path.
-                cid = len(chanq)
-                chanq.append(msg)
-                chan_src.append(src)
-                chan_dst.append(dst)
-                d[dst] = cid
-            else:
-                q = chanq[cid]
-                if q is None:
-                    chanq[cid] = msg
-                elif type(q) is deque_type:
-                    q.append(msg)
-                else:  # second queued message: spill to a deque
-                    chanq[cid] = deque_type((q, msg))
-            c = counts[tag]
-            if not c:
-                order.append(tag)
-            counts[tag] = c + 1
-            pool_append(cid)
-
-        def emitx(src, dst, tag, msg, extra_ids):
-            # Messages that carry a variable id payload; the id count is
-            # accumulated here and folded into ``bits`` at loop exit.
-            xtra[tag] += extra_ids
-            emit(src, dst, tag, msg)
-
-        # -- deterministic choice helpers --------------------------------
-        def add_more(i, w):
-            mo = more[i]
-            if w not in mo:
-                mo.add(w)
-                heappush(mheap[i], rrank[w])
-
-        def add_unexplored(i, u):
-            ux = unexp[i]
-            if u not in ux:
-                ux.add(u)
-                heappush(uheap[i], rrank[u])
-
-        def peek_more(i):
-            heap = mheap[i]
-            mo = more[i]
-            while heap:
-                w = by_rrank[heap[0]]
-                if w in mo:
-                    return w
-                heappop(heap)
-            return -1
-
-        def pop_unexplored(i):
-            heap = uheap[i]
-            ux = unexp[i]
-            while heap:
-                u = by_rrank[heappop(heap)]
-                if u not in ux:
-                    continue
-                ux.discard(u)
-                if u == i or u in more[i] or u in done[i] or u in unaware[i]:
-                    continue
-                return u
-            return -1
-
-        # -- EXPLORE (Figure 3) ------------------------------------------
-        def take_local(i, k):
-            # _answer_query_locally without the message wrapper.
-            loc = local[i]
-            if len(loc) <= k:
-                taken = frozenset(loc)
-                loc.clear()
-                return taken, True
-            taken = frozenset(k_smallest(loc, k, rrank))
-            loc -= taken
-            return taken, False
-
-        def ingest_reply(i, source, id_set, done_flag):
-            if done_flag and source in more[i]:
-                more[i].discard(source)
-                done[i].add(source)
-            mo = more[i]
-            dn = done[i]
-            for fresh in id_set:
-                if fresh not in mo and fresh not in dn and fresh != i:
-                    add_unexplored(i, fresh)
-
-        def explore(i):
-            status[i] = _EXPLORE
-            while True:
-                if variant[i] == _BOUNDED and len(done[i]) == csize[i]:
-                    terminate_bounded(i)
-                    return
-                target = pop_unexplored(i)
-                if target >= 0:
-                    status[i] = _WAIT
-                    aw_rel[i] = 1
-                    emit(i, target, T_SEARCH, (T_SEARCH, i, phase[i], target, False))
-                    return
-                candidate = peek_more(i)
-                if candidate < 0:
-                    status[i] = _WAIT
-                    aw_rel[i] = 0
-                    return
-                k = (1 << 62) if greedy[i] else len(more[i]) + len(done[i]) + 1
-                if candidate == i:
-                    taken, done_flag = take_local(i, k)
-                    ingest_reply(i, i, taken, done_flag)
-                    continue
-                aw_query[i] = candidate
-                emit(i, candidate, T_QUERY, (T_QUERY, k))
-                return
-
-        def terminate_bounded(i):
-            status[i] = _TERMINATED
-            cq = (T_CONQUER, i, phase[i])
-            for w in rank_sorted(done[i], rrank, by_rrank):
-                if w != i:
-                    emit(i, w, T_CONQUER, cq)
-
-        # -- Section 6 late-learned ids ----------------------------------
-        def absorb_learned_id(i, other):
-            loc = local[i]
-            if other == i or other in loc:
-                return
-            if status[i] == _INACTIVE:
-                had_reported_all = not loc
-                loc.add(other)
-                if had_reported_all:
-                    emit(i, nxt[i], T_SEARCH, (T_SEARCH, i, 0, i, True))
-                return
-            loc.add(other)
-            if i in done[i]:
-                done[i].discard(i)
-                add_more(i, i)
-
-        # -- handlers (wire tag order) -----------------------------------
-        def h_query(i, sender, msg):
-            if status[i] != _INACTIVE:
-                raise ProtocolError(
-                    f"{ids[i]!r}: query from {ids[sender]!r} in status "
-                    f"{status_names[status[i]]}; queries only ever reach "
-                    "inactive cluster members"
-                )
-            taken, done_flag = take_local(i, msg[1])
-            emitx(i, sender, T_QUERY_REPLY, (T_QUERY_REPLY, taken, done_flag), len(taken))
-            return True
-
-        def h_query_reply(i, sender, msg):
-            if status[i] != _EXPLORE or aw_query[i] != sender:
-                raise ProtocolError(
-                    f"{ids[i]!r}: unexpected query-reply from {ids[sender]!r} "
-                    f"in status {status_names[status[i]]}"
-                )
-            aw_query[i] = -1
-            ingest_reply(i, sender, msg[1], msg[2])
-            explore(i)
-            return True
-
-        def absorb_target(i, msg):
-            # Section 4.2: the search's target learns the initiator's id.
-            if msg[3] == i and msg[1] not in local[i]:
-                local[i].add(msg[1])
-                return (T_SEARCH, msg[1], msg[2], msg[3], True)
-            return msg
-
-        def leader_on_search(i, sender, msg):
-            msg = absorb_target(i, msg)
-            initiator = msg[1]
-            mphase = msg[2]
-            if msg[4] and msg[3] in done[i]:
-                done[i].discard(msg[3])
-                add_more(i, msg[3])
-            if mphase > phase[i] or (
-                mphase == phase[i] and nrank[initiator] > nrank[i]
-            ):
-                emit(i, sender, T_RELEASE, (T_RELEASE, i, True, initiator, phase[i]))
-                if status[i] == _WAIT and aw_rel[i]:
-                    expect_stale[i] = 1
-                status[i] = _CONQUERED
-            else:
-                emit(i, sender, T_RELEASE, (T_RELEASE, i, False, initiator, phase[i]))
-                if (
-                    status[i] == _WAIT
-                    and not aw_rel[i]
-                    and (unexp[i] or peek_more(i) >= 0)
-                ):
-                    explore(i)
-
-        def h_search(i, sender, msg):
-            st = status[i]
-            if st == _EXPLORE or st == _CONQUERED or st == _CONQUEROR:
-                return False
-            if st == _INACTIVE:
-                msg = absorb_target(i, msg)
-                prev = previous[i]
-                if prev is None:
-                    prev = previous[i] = deque()
-                prev.append((msg, sender))
-                if len(prev) == 1:
-                    emit(i, nxt[i], T_SEARCH, msg)
-                return True
-            if st == _WAIT or st == _PASSIVE:
-                leader_on_search(i, sender, msg)
-                return True
-            if st == _TERMINATED:
-                msg = absorb_target(i, msg)
-                initiator = msg[1]
-                mphase = msg[2]
-                if mphase > phase[i] or (
-                    mphase == phase[i] and nrank[initiator] > nrank[i]
-                ):
-                    raise ProtocolError(
-                        f"{ids[i]!r}: terminated leader outranked by search "
-                        f"from {ids[initiator]!r} -- termination was unsound"
-                    )
-                emit(i, sender, T_RELEASE, (T_RELEASE, i, False, initiator, phase[i]))
-                return True
-            raise ProtocolError(
-                f"{ids[i]!r}: search in impossible status {status_names[st]}"
-            )
-
-        def consume_own_release(i, msg):
-            leader = msg[1]
-            is_merge = msg[2]
-            if status[i] == _WAIT and aw_rel[i]:
-                aw_rel[i] = 0
-                if not is_merge:
-                    if leader == i:
-                        explore(i)
-                        return
-                    absorb_learned_id(i, leader)
-                    status[i] = _PASSIVE
-                    return
-                status[i] = _CONQUEROR
-                aw_info[i] = 1
-                emit(i, leader, T_MERGE_ACCEPT, WIRE_MERGE_ACCEPT)
-                return
-            st = status[i]
-            if st == _PASSIVE or st == _CONQUERED or st == _INACTIVE:
-                if is_merge:
-                    emit(i, leader, T_MERGE_FAIL, WIRE_MERGE_FAIL)
-                if expect_stale[i]:
-                    expect_stale[i] = 0
-                    absorb_learned_id(i, leader)
-                return
-            raise ProtocolError(
-                f"{ids[i]!r}: own release ({MERGE if is_merge else ABORT}) in "
-                f"status {status_names[st]} with awaiting_release={bool(aw_rel[i])}"
-            )
-
-        def h_release(i, sender, msg):
-            if msg[3] == i:
-                consume_own_release(i, msg)
-                return True
-            if status[i] != _INACTIVE:
-                raise ProtocolError(
-                    f"{ids[i]!r}: release for {ids[msg[3]]!r} in "
-                    f"status {status_names[status[i]]}; only inactive nodes "
-                    "route releases"
-                )
-            prev = previous[i]
-            if not prev:
-                raise ProtocolError(
-                    f"{ids[i]!r}: release to route but previous queue empty"
-                )
-            _search, came_from = prev.popleft()
-            if msg[4] >= phase[i]:
-                nxt[i] = msg[1]
-                phase[i] = msg[4]
-            emit(i, came_from, T_RELEASE, msg)
-            if prev:
-                emit(i, nxt[i], T_SEARCH, prev[0][0])
-            else:
-                previous[i] = None
-            return True
-
-        def h_merge_accept(i, sender, msg):
-            if status[i] != _CONQUERED:
-                raise ProtocolError(
-                    f"{ids[i]!r}: merge-accept in status {status_names[status[i]]}"
-                )
-            nxt[i] = sender
-            extra = len(more[i]) + len(done[i]) + len(unaware[i]) + len(unexp[i])
-            emitx(
-                i,
-                sender,
-                T_INFO,
-                (
-                    T_INFO,
-                    phase[i],
-                    frozenset(more[i]),
-                    frozenset(done[i]),
-                    frozenset(unaware[i]),
-                    frozenset(unexp[i]),
-                ),
-                extra,
-            )
-            status[i] = _INACTIVE
-            return True
-
-        def h_merge_fail(i, sender, msg):
-            if status[i] != _CONQUERED:
-                raise ProtocolError(
-                    f"{ids[i]!r}: merge-fail in status {status_names[status[i]]}"
-                )
-            status[i] = _PASSIVE
-            return True
-
-        def merge_with_unaware(i, msg):
-            # Figure 6: absorb the conquered leader's state, then conquer.
-            ua = unaware[i]
-            ua |= msg[2] | msg[3] | msg[4]
-            mo = more[i]
-            dn = done[i]
-            for u in msg[5]:
-                if u not in ua and u not in mo and u not in dn and u != i:
-                    add_unexplored(i, u)
-            cluster = len(mo) + len(dn) + len(ua)
-            if phase[i] == msg[1] or cluster >= 1 << (phase[i] + 1):
-                phase[i] += 1
-            cq = (T_CONQUER, i, phase[i])
-            for w in rank_sorted(ua, rrank, by_rrank):
-                emit(i, w, T_CONQUER, cq)
-            if not ua:  # unreachable in practice: info.more holds the sender
-                explore(i)
-
-        def merge_direct(i, msg):
-            # Section 4.5: the variants merge sets without the unaware stage.
-            mo = more[i]
-            dn = done[i]
-            for w in msg[2]:
-                # done -> more move and plain add collapse: _add_more is a
-                # no-op for present members, discard for absent ones.
-                dn.discard(w)
-                add_more(i, w)
-            for w in msg[3]:
-                if w not in mo and w not in dn:
-                    dn.add(w)
-            for u in msg[5]:
-                if u not in mo and u not in dn and u != i:
-                    add_unexplored(i, u)
-            cluster = len(mo) + len(dn)
-            if phase[i] == msg[1] or cluster >= 1 << (phase[i] + 1):
-                phase[i] += 1
-            explore(i)
-
-        def h_info(i, sender, msg):
-            if status[i] != _CONQUEROR or not aw_info[i]:
-                raise ProtocolError(
-                    f"{ids[i]!r}: info in status {status_names[status[i]]}"
-                )
-            aw_info[i] = 0
-            if variant[i] == _GENERIC:
-                merge_with_unaware(i, msg)
-            else:
-                merge_direct(i, msg)
-            return True
-
-        def h_conquer(i, sender, msg):
-            if status[i] != _INACTIVE:
-                raise ProtocolError(
-                    f"{ids[i]!r}: conquer in status {status_names[status[i]]}; "
-                    "conquer messages only ever reach inactive nodes"
-                )
-            if msg[2] >= phase[i]:
-                nxt[i] = msg[1]
-                phase[i] = msg[2]
-            emit(
-                i,
-                sender,
-                T_MORE_DONE,
-                WIRE_MORE_DONE_TRUE if local[i] else WIRE_MORE_DONE_FALSE,
-            )
-            return True
-
-        def h_more_done(i, sender, msg):
-            st = status[i]
-            if st == _TERMINATED:
-                return True
-            if st != _CONQUEROR or aw_info[i]:
-                raise ProtocolError(
-                    f"{ids[i]!r}: more-done in status {status_names[st]}"
-                )
-            ua = unaware[i]
-            if sender not in ua:
-                raise ProtocolError(
-                    f"{ids[i]!r}: more-done from {ids[sender]!r} not in unaware"
-                )
-            ua.discard(sender)
-            if msg[1]:
-                add_more(i, sender)
-            else:
-                done[i].add(sender)
-            if not ua:
-                explore(i)
-            return True
-
-        def h_probe(i, sender, msg):
-            st = status[i]
-            if msg[1] == i and st == _INACTIVE:
-                emit(i, nxt[i], T_PROBE, msg)
-                return True
-            if is_leader[st]:
-                knowledge = frozenset(more[i] | done[i] | unaware[i] | {i})
-                emitx(
-                    i,
-                    sender,
-                    T_PROBE_REPLY,
-                    (T_PROBE_REPLY, i, knowledge, msg[1]),
-                    len(knowledge),
-                )
-                return True
-            if st == _INACTIVE:
-                pq = probe_prev[i]
-                if pq is None:
-                    pq = probe_prev[i] = deque()
-                pq.append((msg, sender))
-                if len(pq) == 1:
-                    emit(i, nxt[i], T_PROBE, msg)
-                return True
-            return False
-
-        def h_probe_reply(i, sender, msg):
-            if msg[3] == i:
-                pr = presults[i]
-                if pr is None:
-                    pr = presults[i] = []
-                pr.append((msg[1], msg[2]))
-                probe_out[i] = 0
-                return True
-            if status[i] != _INACTIVE:
-                raise ProtocolError(
-                    f"{ids[i]!r}: probe-reply to route in status "
-                    f"{status_names[status[i]]}"
-                )
-            pq = probe_prev[i]
-            if not pq:
-                raise ProtocolError(f"{ids[i]!r}: probe-reply but probe queue empty")
-            _probe, came_from = pq.popleft()
-            nxt[i] = msg[1]
-            emitx(i, came_from, T_PROBE_REPLY, msg, len(msg[2]))
-            if pq:
-                emit(i, nxt[i], T_PROBE, pq[0][0])
-            else:
-                probe_prev[i] = None
-            return True
-
-        dispatch = [
-            h_query,
-            h_query_reply,
-            h_search,
-            h_release,
-            h_merge_accept,
-            h_merge_fail,
-            h_info,
-            h_conquer,
-            h_more_done,
-            h_probe,
-            h_probe_reply,
-        ]
-
-        # -- inbox pump (deferral replay, Interpretation rule 1) ---------
-        def pump(i):
-            ib = inbox[i]
-            df = deferred[i]
-            while ib:
-                sender, msg = ib.popleft()
-                if not df:
-                    if not dispatch[msg[0]](i, sender, msg):
-                        if df is None:
-                            df = deferred[i] = []
-                        df.append((sender, msg))
-                    continue
-                before = (status[i], aw_rel[i], aw_query[i], aw_info[i])
-                if not dispatch[msg[0]](i, sender, msg):
-                    df.append((sender, msg))
-                    continue
-                if df and (status[i], aw_rel[i], aw_query[i], aw_info[i]) != before:
-                    ib.extendleft(reversed(df))
-                    df.clear()
-            inbox[i] = None  # drained: back to the lazy empty slot
-
-        # -- the loop ----------------------------------------------------
-        start_steps = self.steps
-        steps = start_steps
-        # ``executed >= limit`` becomes a single compare against the
-        # absolute step count (one counter bump per iteration, not two).
-        stop = start_steps + limit
-        fifo = mode == _FIFO
-        lifo = mode == _LIFO
-        getrandbits = None
-        if mode == _RANDOM:
-            # Random._randbelow is a Python-level frame per draw; its body
-            # is three lines over the C-level getrandbits, so inline it --
-            # drawing the *identical* value sequence -- when the RNG is
-            # exactly the stdlib Random (bound-method introspection; any
-            # other callable keeps being called as-is).
-            self_rng = getattr(randbelow, "__self__", None)
-            if type(self_rng) is _Random and randbelow.__func__ is _RANDBELOW:
-                getrandbits = self_rng.getrandbits
-        # -- C loop engagement (DESIGN.md SS15) --------------------------
-        # The compiled module runs the identical state machine over the
-        # same columns; Python keeps the trace path, the probe and error
-        # arms, and the limit policy.  The tiered-deopt protocol:
-        #   code 0  pool drained              -> done
-        #   code 1  counted step hit ``stop`` -> quiescent()/raise here
-        #   code 2  head message not provably handleable; ``aux`` is the
-        #           already-popped token      -> run one Python delivery
-        #   code 3  pump hit an unhandleable inbox head; step counted
-        #                                     -> ``pump(aux)`` here
-        # ``cell`` carries the absolute step count across the boundary on
-        # every exit, including handler exceptions.
-        crun = None
-        if trace_events is None and (fifo or lifo or getrandbits is not None):
-            if (type(pool) is deque) if fifo else (type(pool) is list):
-                cmod = _arrayloop.load()
-                if cmod is not None:
-                    crun = cmod.run
-        if crun is not None:
-            cell = [steps]
-            cstop = stop if stop < _C_STOP_CAP else _C_STOP_CAP
-        forced = None
+        crun = _arrayloop.load().run
+        start = self.steps
+        cell = [start]
+        stop = min(start + limit, _C_STOP_CAP)
         # The loop allocates only acyclic transients (tuples, flyweight
         # messages, deque cells), freed by refcounting alone -- but the
         # generational collector keeps re-scanning the n-sized column
@@ -1192,221 +598,25 @@ class ArrayCore:
         if gc_was_enabled:
             gc.disable()
         try:
-            while True:
-                if forced is not None:
-                    token = forced
-                    forced = None
-                elif crun is not None:
-                    cell[0] = steps
-                    try:
-                        code, aux = crun(
-                            self, pool, pool_append, mode, getrandbits, cstop, cell
-                        )
-                    finally:
-                        steps = cell[0]
-                    if code == 0:
-                        break
-                    if code == 1:
-                        if not quiescent():
-                            raise StepLimitExceeded(limit_msg())
-                        continue
-                    if code == 3:
-                        pump(aux)
-                        if steps >= stop and not quiescent():
-                            raise StepLimitExceeded(limit_msg())
-                        continue
-                    token = aux
-                elif not pool:
-                    break
-                elif fifo:
-                    token = pool.popleft()
-                elif lifo:
-                    token = pool.pop()
-                else:
-                    size = len(pool)
-                    if getrandbits is not None:
-                        k = size.bit_length()
-                        index = getrandbits(k)
-                        while index >= size:
-                            index = getrandbits(k)
-                    else:
-                        index = randbelow(size)
-                    token = pool[index]
-                    pool[index] = pool[-1]
-                    pool.pop()
-
-                steps += 1
-                if token >= 0:
-                    q = chanq[token]
-                    if type(q) is deque_type:
-                        msg = q.popleft()
-                        if len(q) == 1:  # back to an inline single message
-                            chanq[token] = q[0]
-                    else:
-                        msg = q
-                        chanq[token] = None
-                    dst = chan_dst[token]
-                    if not awake[dst]:
-                        # Messages wake sleeping nodes (Section 1.2).
-                        awake[dst] = 1
-                        if trace_events is not None:
-                            trace_events.append(
-                                TraceEvent(steps, "wake", None, ids[dst], None)
-                            )
-                        explore(dst)
-                    src = chan_src[token]
-                    if trace_events is not None:
-                        trace_events.append(
-                            TraceEvent(
-                                steps,
-                                "deliver",
-                                ids[src],
-                                ids[dst],
-                                MSG_TYPES[msg[0]],
-                                _to_message(msg, ids),
-                            )
-                        )
-                    # -- on_message, inlined ---------------------------
-                    # Tag chain in workload frequency order.  Only search
-                    # and probe can be deferred (``return False``); every
-                    # other handler unconditionally consumes or raises, so
-                    # the deferral bookkeeping drops off their path.
-                    # Tag chain in workload frequency order, with the
-                    # happy path of each hot handler inlined; the closure
-                    # handlers (also used by ``pump``) stay the single
-                    # source of every error path, so each inline branch
-                    # falls back to them whenever a precondition fails.
-                    tag = msg[0]
-                    if deferred[dst] or inbox[dst]:
-                        ib = inbox[dst]
-                        if ib is None:
-                            ib = inbox[dst] = deque_type()
-                        ib.append((src, msg))
-                        pump(dst)
-                    elif tag == t_search:
-                        st = status[dst]
-                        if st == s_inactive:
-                            # h_search, inactive routing arm.
-                            if msg[3] == dst and msg[1] not in local[dst]:
-                                local[dst].add(msg[1])
-                                msg = (t_search, msg[1], msg[2], msg[3], True)
-                            prev = previous[dst]
-                            if prev is None:
-                                prev = previous[dst] = deque_type()
-                            prev.append((msg, src))
-                            if len(prev) == 1:
-                                emit(dst, nxt[dst], t_search, msg)
-                        elif st == s_wait or st == s_passive:
-                            leader_on_search(dst, src, msg)
-                        elif st == s_explore or st == s_conquered or st == s_conqueror:
-                            df = deferred[dst]
-                            if df is None:
-                                df = deferred[dst] = []
-                            df.append((src, msg))
-                        else:
-                            h_search(dst, src, msg)
-                    elif tag == t_release:
-                        if msg[3] == dst:
-                            consume_own_release(dst, msg)
-                        elif status[dst] != s_inactive or not previous[dst]:
-                            h_release(dst, src, msg)
-                        else:
-                            # h_release, routing arm.
-                            prev = previous[dst]
-                            came_from = prev.popleft()[1]
-                            if msg[4] >= phase[dst]:
-                                nxt[dst] = msg[1]
-                                phase[dst] = msg[4]
-                            emit(dst, came_from, t_release, msg)
-                            if prev:
-                                emit(dst, nxt[dst], t_search, prev[0][0])
-                            else:
-                                previous[dst] = None
-                    elif tag == t_conquer:
-                        if status[dst] != s_inactive:
-                            h_conquer(dst, src, msg)
-                        else:
-                            if msg[2] >= phase[dst]:
-                                nxt[dst] = msg[1]
-                                phase[dst] = msg[2]
-                            emit(
-                                dst,
-                                src,
-                                t_more_done,
-                                md_true if local[dst] else md_false,
-                            )
-                    elif tag == t_more_done:
-                        st = status[dst]
-                        if st == s_terminated:
-                            pass
-                        elif st != s_conqueror or aw_info[dst] or src not in unaware[dst]:
-                            h_more_done(dst, src, msg)
-                        else:
-                            ua = unaware[dst]
-                            ua.discard(src)
-                            if msg[1]:
-                                add_more(dst, src)
-                            else:
-                                done[dst].add(src)
-                            if not ua:
-                                explore(dst)
-                    elif tag == t_query:
-                        if status[dst] != s_inactive:
-                            h_query(dst, src, msg)
-                        else:
-                            taken, done_flag = take_local(dst, msg[1])
-                            emitx(
-                                dst,
-                                src,
-                                t_query_reply,
-                                (t_query_reply, taken, done_flag),
-                                len(taken),
-                            )
-                    elif tag == t_query_reply:
-                        if status[dst] != s_explore or aw_query[dst] != src:
-                            h_query_reply(dst, src, msg)
-                        else:
-                            aw_query[dst] = -1
-                            ingest_reply(dst, src, msg[1], msg[2])
-                            explore(dst)
-                    elif tag == t_probe:
-                        if not h_probe(dst, src, msg):
-                            df = deferred[dst]
-                            if df is None:
-                                df = deferred[dst] = []
-                            df.append((src, msg))
-                    else:
-                        dispatch[tag](dst, src, msg)
-                else:
-                    node = -1 - token
-                    if awake[node]:
-                        if trace_events is not None:
-                            trace_events.append(
-                                TraceEvent(steps, "wake-noop", None, ids[node], None)
-                            )
-                    else:
-                        awake[node] = 1
-                        if trace_events is not None:
-                            trace_events.append(
-                                TraceEvent(steps, "wake", None, ids[node], None)
-                            )
-                        explore(node)
-                        if inbox[node]:  # on_wake pumps; inbox is
-                            pump(node)  # empty outside exceptional states
-
-                if steps >= stop and not quiescent():
+            # code 0: pool drained; code 1: a step reached ``stop`` -- past
+            # it, every further call runs exactly one step.
+            while crun(self, pool, pool.append, mode, getrandbits, stop, cell)[0]:
+                if not quiescent():
                     raise StepLimitExceeded(limit_msg())
         finally:
             if gc_was_enabled:
                 gc.enable()
-            self.steps_out = steps
+            self.steps_out = cell[0]
             # Fold the deferred bit accounting: per-tag totals are fully
             # determined by send count and extra-id count, so the hot
             # path never touched ``bits``.  (Recomputed from totals, so
             # safe on any exit, including handler exceptions.)
-            for tag in order:
-                bits[tag] = counts[tag] * bases[tag] + xtra[tag] * idc
-        return steps - start_steps
+            bases = fixed_bit_bases(self.id_bits)
+            idc = self.id_bits if self.id_bits > 1 else 1
+            counts = self.counts
+            for tag in self.order:
+                self.bits[tag] = counts[tag] * bases[tag] + self.xtra[tag] * idc
+        return cell[0] - start
 
 
 # ----------------------------------------------------------------------
@@ -1709,6 +919,16 @@ def _materialize_to_sim(core: ArrayCore, sim, pool, mode) -> None:
     sim.stats.record_indexed(MSG_TYPES, core.counts, core.bits, core.order)
 
 
+def _stock_getrandbits(randbelow):
+    """``getrandbits`` of the RNG behind ``randbelow`` when that is exactly
+    ``random.Random._randbelow`` (whose draw loop the C loop inlines),
+    else ``None``."""
+    rng = getattr(randbelow, "__self__", None)
+    if type(rng) is _Random and getattr(randbelow, "__func__", None) is _RANDBELOW:
+        return rng.getrandbits
+    return None
+
+
 def maybe_run_array(sim, max_steps, pool, mode, randbelow) -> Optional[int]:
     """Try to run ``sim`` on the array core; ``None`` means "not engaged".
 
@@ -1718,6 +938,16 @@ def maybe_run_array(sim, max_steps, pool, mode, randbelow) -> Optional[int]:
     """
     n = len(sim.nodes)
     if n == 0 or _MIN_POOL_FACTOR * len(pool) < n:
+        return None
+    # The three engine-level declines (the fastcore loop serves each one
+    # with identical results): no C loop, a trace to record, or a
+    # scheduler the C pop cannot replay.
+    if sim.trace is not None or _arrayloop.load() is None:
+        return None
+    getrandbits = _stock_getrandbits(randbelow) if mode == _RANDOM else None
+    if mode == _RANDOM and getrandbits is None:
+        return None
+    if type(pool) is not (deque if mode == _FIFO else list):
         return None
     if not behavior_is_pristine():
         # A class-level monkeypatch (the finding-regression tests replace
@@ -1738,9 +968,6 @@ def maybe_run_array(sim, max_steps, pool, mode, randbelow) -> Optional[int]:
     else:
         pool[:] = new_pool
     sim._last_run_path = "array"
-
-    trace = sim.trace
-    trace_events = trace.events if trace is not None else None
     limit = maxsize if max_steps is None else max_steps
 
     def quiescent():
@@ -1758,9 +985,7 @@ def maybe_run_array(sim, max_steps, pool, mode, randbelow) -> Optional[int]:
         )
 
     try:
-        executed = core.run_loop(
-            pool, mode, randbelow, limit, trace_events, quiescent, limit_msg
-        )
+        executed = core.run_loop(pool, mode, getrandbits, limit, quiescent, limit_msg)
     finally:
         _materialize_to_sim(core, sim, pool, mode)
     return executed
@@ -1920,6 +1145,11 @@ def run_graph(
     semantics to ``build_simulation(seed=...)`` -- the differential test
     pins equal step counts, stats and leaders at small n -- and ``None``
     is global-FIFO, also matching.
+
+    Without the C loop (no compiler, or ``REPRO_PURE_PYTHON``) the run
+    goes through ``build_simulation`` and the object loop instead, with
+    the same result and a :class:`RuntimeWarning` naming why: that path
+    holds every node as a ``DiscoveryNode``, about 4 KB each.
     """
     from repro.core.runner import default_step_budget, id_bits_for
 
@@ -1929,6 +1159,9 @@ def run_graph(
     n = len(ids)
     if n == 0:
         raise ValueError("run_graph needs a non-empty graph")
+    limit = max_steps if max_steps is not None else default_step_budget(graph)
+    if _arrayloop.load() is None:
+        return _run_graph_objects(graph, variant, seed, limit, greedy_queries, verify)
     try:
         space = IdSpace(ids)
     except _Ineligible as exc:
@@ -1954,16 +1187,13 @@ def run_graph(
     if seed is None:
         mode = _FIFO
         pool = deque(wake_tokens)
-        randbelow = None
+        getrandbits = None
     else:
+        # The C pop inlines the stock RandomScheduler's _randbelow draw
+        # over this RNG, so seeded runs replay identically.
         mode = _RANDOM
         pool = wake_tokens
-        rng = _Random(seed)
-        # Same internal draw the stock RandomScheduler (and fastcore's
-        # inlined pop) uses, so seeded runs replay identically.
-        randbelow = getattr(rng, "_randbelow", None) or rng.randrange
-
-    limit = max_steps if max_steps is not None else default_step_budget(graph)
+        getrandbits = _Random(seed).getrandbits
 
     def quiescent():
         return not pool
@@ -1975,7 +1205,7 @@ def run_graph(
             f"{in_flight} messages still in flight"
         )
 
-    executed = core.run_loop(pool, mode, randbelow, limit, None, quiescent, limit_msg)
+    executed = core.run_loop(pool, mode, getrandbits, limit, quiescent, limit_msg)
 
     stats = MessageStats()
     stats.record_indexed(MSG_TYPES, core.counts, core.bits, core.order)
@@ -1994,4 +1224,35 @@ def run_graph(
         n_components=n_components,
         leaders=leaders,
         verified=verified,
+    )
+
+
+def _run_graph_objects(graph, variant, seed, limit, greedy_queries, verify):
+    """:func:`run_graph` on node objects, for platforms without the C loop."""
+    from repro.core.result import collect_result
+    from repro.core.runner import build_simulation
+    from repro.graphs.components import weakly_connected_components
+    from repro.verification.invariants import verify_discovery
+
+    reason = _arrayloop.unavailable_reason() or "not loaded"
+    warnings.warn(
+        f"run_graph: the C delivery loop is unavailable ({reason}); "
+        f"building {graph.n} node objects instead (~4 KB each)",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    sim, nodes = build_simulation(
+        graph, variant, seed=seed, greedy_queries=greedy_queries
+    )
+    steps = sim.run(limit)
+    if verify:
+        verify_discovery(collect_result(graph, nodes, sim, variant), graph)
+    return ScaleResult(
+        variant=variant,
+        n=len(nodes),
+        steps=steps,
+        stats=sim.stats,
+        n_components=len(weakly_connected_components(graph)),
+        leaders=[node_id for node_id, node in nodes.items() if node.is_leader],
+        verified=verify,
     )

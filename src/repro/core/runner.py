@@ -182,7 +182,9 @@ def run_at_scale(
     ``seed=None`` runs the global-FIFO schedule; an int seed replays the
     exact seeded :class:`~repro.sim.scheduler.RandomScheduler` execution
     ``build_simulation(seed=...)`` would produce -- the differential suite
-    pins equal step counts, stats and leaders at small ``n``.
+    pins equal step counts, stats and leaders at small ``n``.  Without the
+    C delivery loop it builds the objects after all, with a
+    :class:`RuntimeWarning`.
     """
     from repro.core.arraystate import run_graph
 

@@ -58,10 +58,11 @@ Array-core delegation
 ---------------------
 When the pending pool is large relative to ``n`` (an actual discovery run,
 not a post-quiescence touch-up), :func:`run_fast` first offers the run to
-the array-backed protocol core (:mod:`repro.core.arraystate`), which
-executes the same state machine over interned int ids and columnar state
--- no node objects, no message dataclasses, no token objects in the hot
-loop.  The array core applies its own stricter eligibility checks (stock
+the array-backed protocol core (:mod:`repro.core.arraystate`), whose C
+delivery loop executes the same state machine over interned int ids and
+columnar state -- no node objects, no message dataclasses, no token
+objects in the hot loop.  The array core applies its own stricter
+eligibility checks (the C loop loaded, no trace, a stock RNG, stock
 ``DiscoveryNode`` instances only, internable ids, wake/deliver tokens
 only) and returns ``None`` to decline, in which case the object loop below
 runs unchanged.  ``sim._last_run_path`` records which engine ran

@@ -24,7 +24,6 @@ evaluation procedure.
 from __future__ import annotations
 
 import random as _random
-import warnings
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
 
@@ -187,14 +186,6 @@ class Simulator:
         A :class:`ChannelInterceptor` (typically a
         :class:`repro.faults.FaultInjector`) consulted at every transport
         decision; ``None`` is the paper's reliable exactly-once model.
-    duplicate_probability:
-        Deprecated back-compat shim: ``duplicate_probability=p`` builds a
-        single-fault :class:`repro.faults.FaultInjector` (seeded with
-        ``channel_seed``, matching the historical RNG stream) behind the
-        scenes and emits a :class:`DeprecationWarning`.  New code should
-        pass ``faults=`` directly; the two are mutually exclusive.  The
-        policy lives entirely on the fault layer -- the simulator no
-        longer mirrors the value as an attribute.
     obs:
         A :class:`~repro.obs.events.Recorder` receiving the typed run
         events (send/deliver/drop/wake/timer/state-transition/
@@ -219,7 +210,6 @@ class Simulator:
         keep_trace: bool = False,
         channel_discipline: str = "fifo",
         channel_seed: int = 0,
-        duplicate_probability: float = 0.0,
         faults: Optional[ChannelInterceptor] = None,
         obs: Optional[Recorder] = None,
         fast: bool = True,
@@ -230,16 +220,6 @@ class Simulator:
             raise ValueError(
                 f"channel_discipline must be 'fifo' or 'random', "
                 f"got {channel_discipline!r}"
-            )
-        if not 0.0 <= duplicate_probability <= 1.0:
-            raise ValueError(
-                f"duplicate_probability must be in [0, 1], "
-                f"got {duplicate_probability}"
-            )
-        if duplicate_probability > 0.0 and faults is not None:
-            raise ValueError(
-                "pass either faults= or the legacy duplicate_probability=, "
-                "not both (fold duplication into the FaultPlan instead)"
             )
         # Explicit None check: schedulers define __len__, so an empty one is
         # falsy and ``scheduler or default`` would silently discard it.
@@ -269,23 +249,6 @@ class Simulator:
         #: ``"array"`` (repro.core.arraystate), ``"fast"`` (the fastcore
         #: object loop), ``"legacy"``, or ``None`` before any run.
         self._last_run_path: Optional[str] = None
-        if duplicate_probability > 0.0:
-            # The legacy knob became a fault policy in the interceptor
-            # seam (finding F7); the shim keeps old call sites running but
-            # the simulator deliberately does NOT mirror the value as an
-            # attribute -- policy state lives on the fault layer only.
-            warnings.warn(
-                "Simulator(duplicate_probability=...) is deprecated; pass "
-                "faults=FaultInjector(FaultPlan(duplicate=...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            # Imported here: repro.faults imports this module at load time.
-            from repro.faults.plan import FaultInjector, FaultPlan
-
-            faults = FaultInjector(
-                FaultPlan(duplicate=duplicate_probability), seed=channel_seed
-            )
         self.faults = faults
 
     # ------------------------------------------------------------------

@@ -12,14 +12,16 @@ Five layers:
 * differential: :func:`run_graph` (the object-free million-node driver)
   reproduces the object path's steps, per-type stats and leader set for
   every variant under both FIFO and seeded-random scheduling;
-* the C loop: the compiled ``_arrayloop`` delivery loop and the pure-Python
-  ``run_loop`` body produce identical results, including across a
+* the C loop: the compiled ``_arrayloop`` delivery loop and the legacy
+  object loop produce identical results, including across a
   ``StepLimitExceeded`` boundary (the ``cell`` step-count protocol);
-* channel slots: both tiers leave the same slot contents (``None``, an
-  inline wire tuple, or a deque only while two or more messages queue),
-  and materialization hands the simulator the legacy loop's channels.
+* channel slots: the C loop's slots (``None``, an inline wire tuple, or a
+  deque only while two or more messages queue) hold the legacy loop's
+  channel contents at every cut, and materialization hands the simulator
+  the legacy loop's channels.
 """
 
+import random
 from collections import deque
 
 import pytest
@@ -30,6 +32,8 @@ from repro.core.arraystate import (
     ArrayCore,
     IdSpace,
     _Ineligible,
+    _slot_messages,
+    _to_message,
     k_smallest,
     rank_sorted,
     run_graph,
@@ -41,6 +45,11 @@ from repro.sim.network import StepLimitExceeded
 FAMILY = "sparse-random"
 N = 32
 GRAPH_SEED = 1
+
+#: the array path runs only on the C loop
+needs_c = pytest.mark.skipif(
+    arrayloop.load() is None, reason="the C delivery loop is not available"
+)
 
 
 def _graph(n=N, seed=GRAPH_SEED):
@@ -136,6 +145,7 @@ class TestRankOrders:
 # Engagement and decline
 # ----------------------------------------------------------------------
 class TestEngagement:
+    @needs_c
     def test_array_path_engages_on_stock_run(self):
         graph = _graph(48)
         sim, nodes = build_simulation(graph, "generic")
@@ -144,6 +154,7 @@ class TestEngagement:
         assert sim.is_quiescent
         assert any(node.is_leader for node in nodes.values())
 
+    @needs_c
     def test_empty_pool_declines_to_object_loop(self):
         graph = _graph(48)
         sim, _nodes = build_simulation(graph, "generic")
@@ -151,6 +162,31 @@ class TestEngagement:
         assert sim._last_run_path == "array"
         sim.run()  # nothing pending: the array core declines (pool << n)
         assert sim._last_run_path == "fast"
+
+    @pytest.mark.parametrize(
+        "cause", ["no-c-loop", "traced", "custom-rng"], ids=str
+    )
+    def test_engine_level_declines(self, cause, monkeypatch):
+        # Each decline leaves the run to the fastcore object loop, which
+        # produces the legacy loop's results (and trace).
+        graph = _graph(48)
+        kwargs = {"seed": 3}
+        if cause == "no-c-loop":
+            monkeypatch.setattr(arrayloop, "_module", None)
+        elif cause == "traced":
+            kwargs["keep_trace"] = True
+        sim, nodes = build_simulation(graph, "generic", **kwargs)
+        if cause == "custom-rng":
+
+            class Draws(random.Random):
+                pass
+
+            sim.scheduler._rng = Draws(3)
+        sim.run(default_step_budget(graph))
+        assert sim._last_run_path == "fast"
+        legacy = _object_outcome("generic", seed=3, fast=False, n=48)
+        assert sim.steps == legacy["steps"]
+        assert dict(sim.stats.messages_by_type) == legacy["messages"]
 
     def test_small_pool_declines(self):
         # Waking 2 of 48 nodes leaves the pool far below the engagement
@@ -213,6 +249,7 @@ class TestRunGraphDifferential:
 # ----------------------------------------------------------------------
 # Step-limit boundary and resumption through the array path
 # ----------------------------------------------------------------------
+@needs_c
 class TestStepLimitAndResume:
     def _drive(self, fast):
         graph = _graph(48)
@@ -267,31 +304,50 @@ class TestStepLimitAndResume:
 
 
 # ----------------------------------------------------------------------
-# Channel slots and released per-node deques
+# Channel slots and released per-node deques, against the legacy loop
 # ----------------------------------------------------------------------
+def _c_core(monkeypatch, graph, *, max_steps=None):
+    """Run ``run_graph`` on the C loop; return the core it left behind."""
+    cores = []
+    run_loop = ArrayCore.run_loop
+
+    def capture(core, *args):
+        cores.append(core)
+        return run_loop(core, *args)
+
+    monkeypatch.setattr(ArrayCore, "run_loop", capture)
+    if max_steps is None:
+        run_graph(graph, "generic")
+    else:
+        with pytest.raises(StepLimitExceeded):
+            run_graph(graph, "generic", max_steps=max_steps)
+    monkeypatch.undo()
+    (core,) = cores
+    return core
+
+
+def _legacy_sim(graph, *, max_steps=None):
+    sim, nodes = build_simulation(graph, "generic", fast=False)
+    if max_steps is None:
+        sim.run(default_step_budget(graph))
+    else:
+        with pytest.raises(StepLimitExceeded):
+            sim.run(max_steps)
+    return sim, nodes
+
+
+def _core_channels(core):
+    """The core's channels as the simulator's ``_channels`` items."""
+    ids = core.ids
+    return [
+        ((ids[src], ids[dst]), [_to_message(m, ids) for m in _slot_messages(slot)])
+        for src, dst, slot in zip(core.chan_src, core.chan_dst, core.chanq)
+    ]
+
+
+@needs_c
 class TestChannelSlots:
     N_SLOTS = 2000
-
-    def _cores(self, monkeypatch, *, pure_python, max_steps=None):
-        cores = []
-        run_loop = ArrayCore.run_loop
-
-        def capture(core, *args):
-            cores.append(core)
-            return run_loop(core, *args)
-
-        monkeypatch.setattr(ArrayCore, "run_loop", capture)
-        if pure_python:
-            monkeypatch.setattr(arrayloop, "_module", None)
-        graph = _graph(self.N_SLOTS)
-        if max_steps is None:
-            run_graph(graph, "generic")
-        else:
-            with pytest.raises(StepLimitExceeded):
-                run_graph(graph, "generic", max_steps=max_steps)
-        monkeypatch.undo()
-        (core,) = cores
-        return core
 
     @staticmethod
     def _assert_slot_layout(core):
@@ -299,60 +355,72 @@ class TestChannelSlots:
             assert slot is None or type(slot) is tuple or (
                 type(slot) is deque and len(slot) >= 2
             )
-        for column in (core.inbox, core.previous):
+        for column in (core.inbox, core.previous, core.probe_prev):
             assert not any(type(q) is deque and not q for q in column)
 
     def test_completed_run_holds_no_channel_containers(self, monkeypatch):
-        compiled = self._cores(monkeypatch, pure_python=False)
-        python = self._cores(monkeypatch, pure_python=True)
-        for core in (compiled, python):
-            assert len(core.chanq) > self.N_SLOTS
-            assert all(slot is None for slot in core.chanq)
-            self._assert_slot_layout(core)
-        assert compiled.chanq == python.chanq
+        graph = _graph(self.N_SLOTS)
+        core = _c_core(monkeypatch, graph)
+        legacy, _ = _legacy_sim(graph)
+        assert len(core.chanq) > self.N_SLOTS
+        assert all(slot is None for slot in core.chanq)
+        self._assert_slot_layout(core)
+        assert _core_channels(core) == [
+            (key, list(queue)) for key, queue in legacy._channels.items()
+        ]
 
     def test_tiers_agree_on_slots_mid_run(self, monkeypatch):
-        full = run_graph(_graph(self.N_SLOTS), "generic")
+        # The C loop's slots, routing queues and parked messages at a cut
+        # equal the legacy loop's channels and node queues at that step.
+        graph = _graph(self.N_SLOTS)
+        full = run_graph(graph, "generic")
         cut = full.steps // 3
-        compiled = self._cores(monkeypatch, pure_python=False, max_steps=cut)
-        python = self._cores(monkeypatch, pure_python=True, max_steps=cut)
+        core = _c_core(monkeypatch, graph, max_steps=cut)
+        legacy, nodes = _legacy_sim(graph, max_steps=cut)
         # Precondition: some channel has spilled to a deque at the cut.
-        assert any(type(slot) is deque for slot in compiled.chanq)
-        for core in (compiled, python):
-            self._assert_slot_layout(core)
-        assert compiled.chanq == python.chanq
-        assert compiled.inbox == python.inbox
-        assert compiled.previous == python.previous
+        assert any(type(slot) is deque for slot in core.chanq)
+        self._assert_slot_layout(core)
+        assert _core_channels(core) == [
+            (key, list(queue)) for key, queue in legacy._channels.items()
+        ]
+        ids = core.ids
+        for i, node_id in enumerate(ids):
+            node = nodes[node_id]
+            assert [
+                (_to_message(m, ids), ids[s]) for m, s in core.previous[i] or ()
+            ] == list(node.previous)
+            assert [
+                (ids[s], _to_message(m, ids)) for s, m in core.deferred[i] or ()
+            ] == node._deferred
+            assert not core.inbox[i] and not node._inbox
 
 
 # ----------------------------------------------------------------------
-# C loop vs pure-Python loop
+# C loop vs the legacy loop
 # ----------------------------------------------------------------------
+@needs_c
 class TestCompiledLoop:
-    def _pure_python(self, monkeypatch):
-        # load() is memoized on _module; anything not the unset sentinel
-        # is returned as-is, so this pins the pure-Python run_loop body.
-        monkeypatch.setattr(arrayloop, "_module", None)
-
     @pytest.mark.parametrize("seed", [None, 3], ids=["fifo", "random"])
-    def test_loops_identical(self, seed, monkeypatch):
-        compiled = _scale_outcome("generic", seed=seed)
-        self._pure_python(monkeypatch)
-        assert arrayloop.load() is None
-        assert _scale_outcome("generic", seed=seed) == compiled
+    def test_loops_identical(self, seed):
+        # With the C loop loaded, run_graph always runs on it.
+        for variant in VARIANTS:
+            legacy = _object_outcome(variant, seed=seed, fast=False)
+            assert legacy.pop("path") == "legacy"
+            assert _scale_outcome(variant, seed=seed) == legacy
 
     def test_loops_identical_across_limit_boundary(self, monkeypatch):
-        # The cell protocol: the absolute step count must survive the
-        # C/Python boundary on every exit, including the raising one.
+        # The cell protocol: the absolute step count must survive the C
+        # loop's exits, including the raising one, and the in-flight count
+        # in the message must be the legacy loop's.
         graph = _graph(48)
         full = run_graph(graph, "generic")
         cut = full.steps // 2
-
-        def interrupted():
-            with pytest.raises(StepLimitExceeded) as err:
-                run_graph(graph, "generic", max_steps=cut)
-            return str(err.value)
-
-        compiled_msg = interrupted()
-        self._pure_python(monkeypatch)
-        assert interrupted() == compiled_msg
+        core = _c_core(monkeypatch, graph, max_steps=cut)
+        assert core.steps_out == cut
+        with pytest.raises(StepLimitExceeded) as compiled:
+            run_graph(graph, "generic", max_steps=cut)
+        legacy, _ = build_simulation(graph, "generic", fast=False)
+        with pytest.raises(StepLimitExceeded) as reference:
+            legacy.run(cut)
+        assert legacy.steps == cut
+        assert str(compiled.value) == str(reference.value)

@@ -11,15 +11,10 @@ is not load-bearing, channel *multiplicity* is.
 
 import pytest
 
-# These tests deliberately drive the deprecated duplicate_probability shim
-# (its own deprecation contract is pinned in test_obs_regressions).
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:Simulator.duplicate_probability.*:DeprecationWarning"
-)
-
 from repro.core.node import DiscoveryNode, ProtocolError
 from repro.core.result import collect_result
 from repro.core.runner import default_step_budget, id_bits_for
+from repro.faults.plan import FaultInjector, FaultPlan
 from repro.graphs.generators import random_weakly_connected
 from repro.sim.network import Simulator
 from repro.sim.scheduler import RandomScheduler
@@ -27,10 +22,11 @@ from repro.verification.invariants import InvariantViolation, verify_discovery
 
 
 def run_with_duplication(graph, seed, probability):
+    faults = FaultInjector(FaultPlan(duplicate=probability), seed=seed) if probability else None
     sim = Simulator(
         RandomScheduler(seed),
         id_bits=id_bits_for(graph.n),
-        duplicate_probability=probability,
+        faults=faults,
         channel_seed=seed,
     )
     nodes = {}
@@ -69,8 +65,8 @@ class TestDuplicationBreaksLoudly:
         verify_discovery(result, graph)
 
     def test_probability_validation(self):
-        with pytest.raises(ValueError, match="duplicate_probability"):
-            Simulator(duplicate_probability=1.5)
+        with pytest.raises(ValueError, match="duplicate must be in"):
+            FaultPlan(duplicate=1.5)
 
     def test_duplicates_not_double_charged(self):
         """Stats count sends, not deliveries: a duplicated message is
@@ -92,7 +88,7 @@ class TestDuplicationBreaksLoudly:
             def on_message(self, sender, message):
                 self.count += 1
 
-        sim = Simulator(duplicate_probability=1.0, channel_seed=0)
+        sim = Simulator(faults=FaultInjector(FaultPlan(duplicate=1.0), seed=0))
         a, b = Sink("a"), Sink("b")
         sim.add_node(a)
         sim.add_node(b)

@@ -7,12 +7,15 @@ across every stock scheduler.  These tests pin that promise, plus the
 transparent-fallback contract: any configuration the fast loop cannot
 serve (fault plans, recorders, profilers, adversaries, monkeypatched
 seams) silently takes the object path and still produces identical
-results under ``fast=True`` and ``fast=False``.
+results under ``fast=True`` and ``fast=False``.  Traced runs take the
+fastcore object loop; the untraced matrix pins the C delivery loop of the
+array core against the legacy loop.
 """
 
 import pytest
 
 from repro.analysis.experiments import build_family
+from repro.core import arrayloop
 from repro.core.result import collect_result
 from repro.core.runner import build_simulation, default_step_budget
 from repro.faults import FaultInjector, FaultPlan
@@ -60,6 +63,24 @@ def _execute(variant, scheduler_factory, *, n=48, seed=3, fast=True, **kwargs):
     }
 
 
+def _execute_untraced(variant, scheduler_factory, *, fast):
+    """One full untraced run (traced runs decline the C loop)."""
+    graph = build_family("sparse-random", 48, 3)
+    sim, nodes = build_simulation(
+        graph, variant, scheduler=scheduler_factory(), fast=fast
+    )
+    sim.run(default_step_budget(graph))
+    result = collect_result(graph, nodes, sim, variant)
+    report = verify_discovery(result, graph)
+    return sim._last_run_path, {
+        "messages": dict(sim.stats.messages_by_type),
+        "bits": dict(sim.stats.bits_by_type),
+        "steps": sim.steps,
+        "leaders": result.leaders,
+        "verified": (report.n_leaders, report.checks),
+    }
+
+
 class TestDifferentialEquivalence:
     """fast=True and fast=False must be indistinguishable, bit for bit."""
 
@@ -70,6 +91,18 @@ class TestDifferentialEquivalence:
         legacy = _execute(variant, factory, fast=False)
         fast = _execute(variant, factory, fast=True)
         assert fast == legacy
+
+    @pytest.mark.skipif(
+        arrayloop.load() is None, reason="the C delivery loop is not available"
+    )
+    @pytest.mark.parametrize("variant", ["generic", "bounded", "adhoc"])
+    @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
+    def test_c_loop_matches_legacy(self, variant, policy):
+        factory = SCHEDULERS[policy]
+        legacy_path, legacy = _execute_untraced(variant, factory, fast=False)
+        path, compiled = _execute_untraced(variant, factory, fast=True)
+        assert (path, legacy_path) == ("array", "legacy")
+        assert compiled == legacy
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_schedules_across_seeds(self, seed):
